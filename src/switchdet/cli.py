@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .exceptions import SwitchDetError
+from .exceptions import DomainError, SwitchDetError
 from .formats import (
     read_instances,
     read_state_sequence,
@@ -99,10 +99,28 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _read_one_video(path, video_id=None) -> tuple[str | None, list]:
+    """(video id, instances) of the one video an instance file describes.
+
+    An empty file holds no instances.  A file with several videos is
+    accepted only when video_id names one of them.
+    """
+    videos = read_instances(path)
+    if not videos:
+        return video_id, []
+    if video_id is None:
+        if len(videos) > 1:
+            raise DomainError(f"{path}: holds {len(videos)} videos, expected one")
+        [(video_id, instances)] = videos.items()
+        return video_id, instances
+    if video_id not in videos:
+        raise DomainError(f"{path}: no video {video_id!r}")
+    return video_id, videos[video_id]
+
+
 def cmd_encode(args) -> int:
-    videos = read_instances(args.instances)
-    instances = [inst for v in sorted(videos) for inst in videos[v]]
-    video_id = args.video_id or (sorted(videos)[0] if videos else "video")
+    video_id, instances = _read_one_video(args.instances, args.video_id)
+    video_id = video_id or "video"
     config = SwitchConfig(args.num_switches)
     labels, report = encode_instances(instances, args.length, config, args.policy)
     write_state_sequence(args.out, video_id, config, labels)
@@ -162,8 +180,7 @@ def _load_dataset(video_pairs) -> list:
     dataset = []
     for feat_path, inst_path in video_pairs:
         feats = read_features(feat_path)
-        videos = read_instances(inst_path)
-        insts = [inst for v in sorted(videos) for inst in videos[v]]
+        _, insts = _read_one_video(inst_path)
         dataset.append((feats, insts))
     return dataset
 

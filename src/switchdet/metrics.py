@@ -10,7 +10,7 @@ over intervals; start detection uses point-level AP within a frame offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ def hungarian_assign(cost) -> list[tuple[int, int]]:
 class MatchReport:
     """Micro-aggregated matching outcome across videos."""
 
-    pairs: list[tuple[str, int, int, float]] = field(default_factory=list)
     tp: int = 0
     num_pred: int = 0
     num_gt: int = 0
@@ -93,10 +92,8 @@ def f1_at_tiou(
         hit_bonus = float(min(len(vp), len(vg)) + 1)
         cost = -(overlaps + hit_bonus * (overlaps >= threshold))
         for i, j in hungarian_assign(cost):
-            overlap = overlaps[i, j]
-            if overlap >= threshold:
+            if overlaps[i, j] >= threshold:
                 report.tp += 1
-                report.pairs.append((video_id, i, j, float(overlap)))
     if report.num_pred == 0 and report.num_gt == 0:
         report.precision = report.recall = report.f1 = 1.0
     else:
@@ -236,13 +233,15 @@ def point_map(
 
     A ranked prediction is a hit at offset o if an unmatched ground truth
     (same class when ground truth carries classes) starts within o frames.
-    Classwise mean when classes are present, one pooled AP otherwise.
+    Classwise mean when every ground truth has a class, one pooled AP when
+    none has; ground truth that mixes the two is rejected.
     """
     if not offsets or any(o <= 0 for o in offsets):
         raise DomainError("offsets must be positive")
-    classwise = any(
-        g.class_id is not None for vg in gts.values() for g in vg
-    )
+    has_class = {g.class_id is not None for vg in gts.values() for g in vg}
+    if len(has_class) > 1:
+        raise DomainError("ground truth mixes intervals with and without class_id")
+    classwise = has_class == {True}
     ranked = _ranked_preds(preds, require_class=False)
     classes = (
         sorted({g.class_id for vg in gts.values() for g in vg})

@@ -117,15 +117,10 @@ def forward_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One streaming step: returns (logits row, new hidden state)."""
     x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
     if x.shape != (params.feature_dim,):
         raise DomainError(f"feature shape {x.shape} != ({params.feature_dim},)")
-    if h_prev.shape != (params.hidden_dim,):
-        raise DomainError(f"hidden shape {h_prev.shape} != ({params.hidden_dim},)")
-    z = _sigmoid(params.w_z @ x + params.u_z @ h_prev + params.b_z)
-    h_cand = np.tanh(params.w_h @ x + params.u_h @ h_prev + params.b_h)
-    h = (1.0 - z) * h_prev + z * h_cand
-    return params.w_o @ h + params.b_o, h
+    logits, cache = forward_sequence(params, x[None], h_prev)
+    return logits[0], cache.h[0]
 
 
 def forward_sequence(
@@ -133,7 +128,8 @@ def forward_sequence(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the cell over a whole sequence; h0 defaults to zeros.
 
-    Identical, step for step, to repeated forward_step calls.
+    The only implementation of the cell: forward_step is its one-row call,
+    and passing the last hidden state as the next h0 continues a stream.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.feature_dim:
@@ -143,6 +139,8 @@ def forward_sequence(
     t = xs.shape[0]
     if t == 0:
         raise DomainError("empty input sequence")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("non-finite values in features")
     hd = params.hidden_dim
     h = np.zeros(hd) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
     if h.shape != (hd,):

@@ -134,6 +134,7 @@ def read_features(path) -> np.ndarray:
     body = data[20:]
     if len(body) != 4 * t * d:
         raise DomainError(f"{path}: truncated feature file")
-    return (
-        np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
-    )
+    features = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
+    if not np.all(np.isfinite(features)):
+        raise DomainError(f"{path}: non-finite feature values")
+    return features

@@ -7,40 +7,37 @@ deterministic given (dataset, config, seed).
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import DomainError
 from .losses import sequence_loss_and_grad
 from .metrics import f1_at_tiou
-from .scorer import (
-    ScorerParams,
-    backward_sequence,
-    forward_sequence,
-    forward_step,
-    init_params,
-)
+from .scorer import ScorerParams, backward_sequence, forward_sequence, init_params
 from .switchboard import (
     ActionInterval,
-    StreamDecoder,
     SwitchConfig,
+    decode_sequence,
     encode_instances,
 )
 
+log = logging.getLogger("switchdet")
+
 # One video is (T x D feature matrix, list of ground-truth instances).
 Video = tuple[np.ndarray, list[ActionInterval]]
+
+# Frames per scorer call in infer_instances; bounds the forward cache's memory.
+INFER_WINDOW = 1024
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.0
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1
     bptt_len: int = 128
     seed: int = 0
@@ -81,7 +78,9 @@ class EpochStats:
 class Adam:
     """Bias-corrected Adam over the scorer's parameter arrays, in place."""
 
-    def __init__(self, params: ScorerParams, lr, beta1, beta2, eps):
+    def __init__(
+        self, params: ScorerParams, lr, beta1=0.9, beta2=0.999, eps=1e-8
+    ):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -123,13 +122,7 @@ def train(
     params = init_params(
         feature_dim, config.hidden_dim, switch_cfg.num_states, config.seed
     )
-    opt = Adam(
-        params,
-        config.learning_rate,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
-    )
+    opt = Adam(params, config.learning_rate)
 
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
@@ -166,9 +159,12 @@ def train(
 def infer_instances(
     params: ScorerParams, features, config: SwitchConfig
 ) -> list[ActionInterval]:
-    """Streaming inference: per-frame argmax state into the online decoder.
+    """Inference: per-frame argmax state, decoded into intervals.
 
-    No thresholds anywhere; equals decoding the full argmax state sequence.
+    The scorer runs over windows of INFER_WINDOW frames with the hidden
+    state carried across them, so the result equals the frame-by-frame
+    composition (one-step scorer, argmax, online decoder) that live
+    streams use.  No thresholds anywhere.
     """
     if params.num_states != config.num_states:
         raise DomainError(
@@ -176,15 +172,14 @@ def infer_instances(
             f"{config.num_states}"
         )
     features = np.asarray(features, dtype=np.float64)
-    decoder = StreamDecoder(config)
-    h = np.zeros(params.hidden_dim)
-    out: list[ActionInterval] = []
-    for t in range(features.shape[0]):
-        logits, h = forward_step(params, features[t], h)
-        out.extend(decoder.step(int(np.argmax(logits)), t))
-    out.extend(decoder.finalize())
-    out.sort(key=lambda a: a.span)
-    return out
+    states = np.empty(len(features), dtype=np.int64)
+    h = None
+    for start in range(0, len(features), INFER_WINDOW):
+        stop = start + INFER_WINDOW
+        logits, cache = forward_sequence(params, features[start:stop], h)
+        states[start:stop] = logits.argmax(axis=1)
+        h = cache.h[-1]
+    return decode_sequence(states, config)
 
 
 @dataclass
@@ -284,6 +279,12 @@ def sweep_alpha(
             results = list(pool.map(_run_cell_task, tasks))
     else:
         results = [_run_cell_task(t) for t in tasks]
+    for r in results:
+        if r.error is not None:
+            log.warning(
+                "sweep cell k=%d alpha=%g seed=%d failed: %s",
+                r.num_switches, r.alpha, r.seed, r.error,
+            )
 
     rows = []
     n_seeds = len(seeds)

@@ -5,7 +5,9 @@ import pytest
 
 from switchdet.cli import main
 from switchdet.formats import write_instances, write_state_sequence
+from switchdet.scorer import init_params, save_checkpoint
 from switchdet.switchboard import ActionInterval, SwitchConfig
+from switchdet.synthgen import write_features
 
 
 def run(*argv):
@@ -208,3 +210,102 @@ class TestSweepCli:
             "num_switches,alpha,f1,precision,recall,num_proposals,num_gt,seed"
         )
         assert len(read_lines(a)) == 3
+
+
+def make_checkpoint(path):
+    """An untrained k=2 checkpoint over 16-dim features."""
+    save_checkpoint(path, init_params(16, 8, 4, seed=0))
+
+
+class TestInferInput:
+    def test_empty_stream_writes_nothing(self, tmp_path):
+        feats = tmp_path / "empty.aswf"
+        write_features(feats, np.zeros((0, 16)))
+        ckpt = tmp_path / "m.aswp"
+        make_checkpoint(ckpt)
+        out = tmp_path / "preds.jsonl"
+        assert (
+            run("infer", "--checkpoint", ckpt, "--features", feats,
+                "--num-switches", 2, "--out", out)
+            == 0
+        )
+        assert out.read_text() == ""
+
+    def test_non_finite_features_exit_2(self, tmp_path):
+        features = np.random.default_rng(0).normal(size=(200, 16))
+        features[57] = np.nan
+        feats = tmp_path / "nan.aswf"
+        write_features(feats, features)
+        ckpt = tmp_path / "m.aswp"
+        make_checkpoint(ckpt)
+        out = tmp_path / "preds.jsonl"
+        assert (
+            run("infer", "--checkpoint", ckpt, "--features", feats,
+                "--num-switches", 2, "--out", out)
+            == 2
+        )
+        assert not out.exists()
+
+
+class TestOneVideoPerInstanceFile:
+    @pytest.fixture
+    def two_videos(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        write_instances(
+            path, {"a": [ActionInterval(1, 4)], "b": [ActionInterval(3, 7)]}
+        )
+        return path
+
+    def encode(self, instances, tmp_path, *extra):
+        out = tmp_path / "s.json"
+        code = run("encode", "--instances", instances, "--length", 9,
+                   "--num-switches", 2, "--out", out, *extra)
+        return code, out
+
+    def test_encode_rejects_several_videos(self, two_videos, tmp_path):
+        code, _ = self.encode(two_videos, tmp_path)
+        assert code == 2
+
+    def test_encode_takes_the_named_video(self, two_videos, tmp_path):
+        code, out = self.encode(two_videos, tmp_path, "--video-id", "b")
+        assert code == 0
+        obj = json.loads(out.read_text())
+        assert obj["video_id"] == "b"
+        assert obj["labels"] == [0, 0, 0, 1, 1, 1, 1, 1, 0]
+
+    def test_encode_rejects_a_video_not_in_the_file(self, two_videos, tmp_path):
+        code, _ = self.encode(two_videos, tmp_path, "--video-id", "c")
+        assert code == 2
+
+    def test_encode_of_empty_file_is_all_idle(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, out = self.encode(empty, tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["labels"] == [0] * 9
+
+    def test_train_rejects_several_videos(self, two_videos, tmp_path):
+        feats = tmp_path / "x.aswf"
+        write_features(feats, np.zeros((9, 4)))
+        ckpt = tmp_path / "m.aswp"
+        assert (
+            run("train", "--video", feats, two_videos, "--epochs", 1,
+                "--hidden-dim", 4, "--out-checkpoint", ckpt)
+            == 2
+        )
+        assert not ckpt.exists()
+
+
+def test_eval_odas_rejects_mixed_ground_truth(tmp_path):
+    gts = tmp_path / "gt.jsonl"
+    preds = tmp_path / "p.jsonl"
+    write_instances(
+        gts, {"v": [ActionInterval(10, 40, class_id=1), ActionInterval(50, 60)]}
+    )
+    write_instances(preds, {"v": [ActionInterval(10, 40, class_id=1, score=0.9)]})
+    out = tmp_path / "odas.json"
+    assert (
+        run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
+            "--out", out)
+        == 2
+    )

@@ -261,6 +261,12 @@ class TestPointMap:
         with pytest.raises(DomainError):
             point_map({}, {}, [0])
 
+    def test_rejects_ground_truth_mixing_classed_and_classless(self):
+        gts = {"v": [iv(10, 20, class_id=0), iv(40, 50)]}
+        preds = {"v": [iv(10, 20, class_id=0, score=0.9)]}
+        with pytest.raises(DomainError, match="class_id"):
+            point_map(preds, gts, [3])
+
 
 class TestAveragePrecision:
     def test_all_hits(self):

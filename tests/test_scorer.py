@@ -99,6 +99,13 @@ class TestForward:
         with pytest.raises(DomainError):
             forward_sequence(p, np.zeros((0, 3)))
 
+    def test_rejects_non_finite_features(self):
+        p = init_params(3, 4, 2, seed=1)
+        xs = np.zeros((5, 3))
+        xs[2, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            forward_sequence(p, xs)
+
 
 class TestBackward:
     def test_zero_cotangent(self):

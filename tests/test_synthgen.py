@@ -132,3 +132,11 @@ class TestFeatureFile:
         path.write_bytes(b"not a feature file")
         with pytest.raises(DomainError):
             read_features(path)
+
+    def test_rejects_non_finite_values(self, tmp_path):
+        features = np.zeros((6, 4))
+        features[3] = np.nan
+        path = tmp_path / "nan.aswf"
+        write_features(path, features)
+        with pytest.raises(DomainError, match="non-finite"):
+            read_features(path)

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from switchdet.exceptions import DomainError
-from switchdet.scorer import init_params
-from switchdet.switchboard import ActionInterval, SwitchConfig, decode_sequence
+from switchdet.scorer import forward_step, init_params
+from switchdet.switchboard import (
+    ActionInterval,
+    StreamDecoder,
+    SwitchConfig,
+    decode_sequence,
+)
 from switchdet.synthgen import SynthConfig, generate_stream
 from switchdet.trainer import (
+    INFER_WINDOW,
     Adam,
     TrainConfig,
     infer_instances,
@@ -105,6 +111,31 @@ class TestInfer:
         with pytest.raises(DomainError):
             infer_instances(params, np.zeros((8, 4)), SwitchConfig(3))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_windows_equal_frame_by_frame_streaming(self, k):
+        # The live-stream composition, one frame at a time, is the reference.
+        config = SwitchConfig(k)
+        rng = np.random.default_rng(10 + k)
+        params = init_params(4, 6, config.num_states, seed=k)
+        features = rng.normal(size=(INFER_WINDOW * 5 // 2, 4)) * 3
+        decoder = StreamDecoder(config)
+        h = np.zeros(params.hidden_dim)
+        expected = []
+        for t in range(features.shape[0]):
+            logits, h = forward_step(params, features[t], h)
+            expected.extend(decoder.step(int(np.argmax(logits)), t))
+        expected.extend(decoder.finalize())
+        expected.sort(key=lambda a: a.span)
+        got = infer_instances(params, features, config)
+        assert len(expected) > 10
+        assert [(i.span, i.truncated) for i in got] == [
+            (i.span, i.truncated) for i in expected
+        ]
+
+    def test_empty_stream_yields_nothing(self):
+        params = init_params(4, 3, 4, seed=0)
+        assert infer_instances(params, np.zeros((0, 4)), SwitchConfig(2)) == []
+
 
 def tiny_split(seed=0):
     synth = dict(
@@ -157,3 +188,23 @@ class TestSweep:
         train_set, eval_set = tiny_split()
         row = run_cell(train_set, eval_set, TrainConfig(epochs=1, hidden_dim=8))
         assert row.num_gt == len(eval_set[0][1])
+
+    def test_failed_cells_are_logged(self, caplog):
+        train_set, eval_set = tiny_split()
+        feats, insts = eval_set[0]
+        wide = np.hstack([feats, np.zeros((feats.shape[0], 1))])
+        base = TrainConfig(epochs=1, hidden_dim=8)
+        with caplog.at_level("WARNING", logger="switchdet"):
+            rows = sweep_alpha(
+                train_set, [(wide, insts)], alphas=[0.0], switch_counts=[1],
+                base=base, seeds=(0, 1),
+            )
+        assert rows[0].error is not None
+        messages = [
+            r.getMessage() for r in caplog.records
+            if r.name == "switchdet" and r.levelname == "WARNING"
+        ]
+        assert len(messages) == 2
+        for seed, message in zip((0, 1), messages):
+            assert f"k=1 alpha=0 seed={seed}" in message
+            assert rows[0].error in message

@@ -6,6 +6,11 @@ temporal IoU via a minimum-cost assignment, matched pairs above the IoU
 threshold count as true positives, and counts are micro-aggregated across
 videos.  Class-aware quality uses standard score-ranked average precision
 over intervals; start detection uses point-level AP within a frame offset.
+
+Overlaps are computed a whole matrix at a time.  Intervals that share no
+frame have IoU 0, so the optimal matching is solved separately on each group
+of intervals chained by shared frames, and its cost grows with the groups'
+sizes, not with predictions x ground truth.
 """
 
 from __future__ import annotations
@@ -27,6 +32,53 @@ def tiou(a: ActionInterval, b: ActionInterval) -> float:
         return 0.0
     union = a.num_frames + b.num_frames - inter
     return inter / union
+
+
+def _spans(intervals) -> np.ndarray:
+    """(n, 2) int64 array of inclusive [start, end] frames."""
+    return np.array(
+        [(iv.start_frame, iv.end_frame) for iv in intervals], dtype=np.int64
+    ).reshape(-1, 2)
+
+
+def _overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Temporal IoU of every (row, col) pair of two span arrays; equals tiou."""
+    inter = (
+        np.minimum(rows[:, None, 1], cols[None, :, 1])
+        - np.maximum(rows[:, None, 0], cols[None, :, 0])
+        + 1
+    )
+    np.maximum(inter, 0, out=inter)
+    row_len = rows[:, 1] - rows[:, 0] + 1
+    col_len = cols[:, 1] - cols[:, 0] + 1
+    return inter / (row_len[:, None] + col_len[None, :] - inter)
+
+
+def _overlap_groups(rows: np.ndarray, cols: np.ndarray):
+    """Yield (row indices, col indices) of each group holding both kinds.
+
+    One sort-and-sweep over the starts of all spans: a group ends where the
+    next span starts after every span so far has ended, so spans of different
+    groups share no frame.
+    """
+    spans = np.concatenate([rows, cols])
+    order = np.argsort(spans[:, 0], kind="stable")
+    reach = np.maximum.accumulate(spans[order, 1])
+    cuts = np.flatnonzero(spans[order[1:], 0] > reach[:-1]) + 1
+    for members in np.split(order, cuts):
+        members.sort()
+        split = int(np.searchsorted(members, len(rows)))
+        if 0 < split < len(members):
+            yield members[:split], members[split:] - len(rows)
+
+
+def _check_shared_videos(preds: Mapping, gts: Mapping) -> None:
+    """Predictions and ground truth that both name videos must share one."""
+    if preds and gts and set(preds).isdisjoint(gts):
+        raise DomainError(
+            f"predictions (videos {sorted(preds)[:3]}) and ground truth "
+            f"(videos {sorted(gts)[:3]}) share no video id"
+        )
 
 
 def hungarian_assign(cost) -> list[tuple[int, int]]:
@@ -74,26 +126,29 @@ def f1_at_tiou(
     Matched pairs with IoU >= threshold are true positives.  The assignment
     cost rewards above-threshold pairs lexicographically before raw IoU, so
     the matching maximizes the true-positive count first and total IoU
-    second.  With no predictions and no ground truth at all, precision and
-    recall are 1 by convention.
+    second.  Both terms add up over the overlap groups of a video, so each
+    group is matched on its own.  With no predictions and no ground truth at
+    all, precision and recall are 1 by convention.
     """
     if not (0.0 < threshold <= 1.0):
         raise DomainError(f"threshold must be in (0, 1], got {threshold}")
+    _check_shared_videos(preds, gts)
     report = MatchReport()
     for video_id in sorted(set(preds) | set(gts)):
-        vp = list(preds.get(video_id, ()))
-        vg = list(gts.get(video_id, ()))
+        vp = _spans(preds.get(video_id, ()))
+        vg = _spans(gts.get(video_id, ()))
         report.num_pred += len(vp)
         report.num_gt += len(vg)
-        if not vp or not vg:
+        if not len(vp) or not len(vg):
             continue
-        overlaps = np.array([[tiou(p, g) for g in vg] for p in vp])
-        # A hit outweighs any achievable sum of IoUs in the video.
-        hit_bonus = float(min(len(vp), len(vg)) + 1)
-        cost = -(overlaps + hit_bonus * (overlaps >= threshold))
-        for i, j in hungarian_assign(cost):
-            if overlaps[i, j] >= threshold:
-                report.tp += 1
+        for rows, cols in _overlap_groups(vp, vg):
+            overlaps = _overlap_matrix(vp[rows], vg[cols])
+            # A hit outweighs any achievable sum of IoUs in the group.
+            hit_bonus = float(min(len(rows), len(cols)) + 1)
+            cost = -(overlaps + hit_bonus * (overlaps >= threshold))
+            for i, j in hungarian_assign(cost):
+                if overlaps[i, j] >= threshold:
+                    report.tp += 1
     if report.num_pred == 0 and report.num_gt == 0:
         report.precision = report.recall = report.f1 = 1.0
     else:
@@ -117,26 +172,67 @@ def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
     # Precision envelope over increasing recall.
     mprec = np.concatenate(([0.0], precision, [0.0]))
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    for i in range(mprec.size - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
+    mprec = np.maximum.accumulate(mprec[::-1])[::-1]
     idx = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(np.sum((mrec[idx] - mrec[idx - 1]) * mprec[idx]))
 
 
 def _ranked_preds(
     preds: Mapping[str, Sequence[ActionInterval]], require_class: bool
-) -> list[tuple[str, int, ActionInterval]]:
+) -> list[tuple[str, ActionInterval]]:
     flat = []
     for video_id in sorted(preds):
-        for i, p in enumerate(preds[video_id]):
+        for p in preds[video_id]:
             if p.score is None:
                 raise DomainError(f"prediction without score in video {video_id}")
             if require_class and p.class_id is None:
                 raise DomainError(f"prediction without class_id in video {video_id}")
-            flat.append((video_id, i, p))
-    # Score descending; earlier start, then stable (video, index) on ties.
-    flat.sort(key=lambda rec: (-rec[2].score, rec[2].start_frame, rec[0], rec[1]))
+            flat.append((video_id, p))
+    # Score descending; earlier start, then (video, index) order: the sort is stable.
+    flat.sort(key=lambda rec: (-rec[1].score, rec[1].start_frame))
     return flat
+
+
+def _ranked_flags(ranked, gts, gain, floors) -> np.ndarray:
+    """Greedy hit flags of score-ranked predictions, one row per floor.
+
+    ``ranked`` holds (video id, prediction) in rank order and ``gts`` maps
+    video ids to ground truth.  ``gain(pred spans, gt spans)`` scores every
+    pair of one video, larger being better; it is computed once per video
+    and reused for every floor.  In rank order, each prediction takes the
+    unmatched ground truth of its video with the largest gain (the first on
+    ties) and is a hit if that gain reaches the floor.
+    """
+    flags = np.zeros((len(floors), len(ranked)), dtype=bool)
+    positions: dict[str, list[int]] = {}
+    for at, (video_id, _) in enumerate(ranked):
+        positions.setdefault(video_id, []).append(at)
+    for video_id, at in positions.items():
+        if not gts.get(video_id):
+            continue
+        gains = gain(_spans([ranked[i][1] for i in at]), _spans(gts[video_id]))
+        row_best = gains.max(axis=1).tolist()
+        for hits, floor in zip(flags, floors):
+            open_gains = gains.copy()  # a matched column drops to -inf
+            for row, pos in enumerate(at):
+                if row_best[row] < floor:
+                    continue
+                j = open_gains[row].argmax()
+                if open_gains[row, j] >= floor:
+                    hits[pos] = True
+                    open_gains[:, j] = -np.inf
+    return flags
+
+
+def _iou_gain(pred_spans: np.ndarray, gt_spans: np.ndarray) -> np.ndarray:
+    # Reversed columns: of equal IoUs, interval mAP matches the last ground
+    # truth, so the matcher's first maximum must be the last column.
+    return _overlap_matrix(pred_spans, gt_spans[::-1])
+
+
+def _start_gain(pred_spans: np.ndarray, gt_spans: np.ndarray) -> np.ndarray:
+    dist = np.abs(pred_spans[:, None, 0] - gt_spans[None, :, 0])
+    return -dist.astype(np.float64)
 
 
 @dataclass
@@ -167,10 +263,13 @@ def interval_map(
     """
     if not thresholds:
         raise DomainError("no IoU thresholds given")
+    if not all(0.0 < thr <= 1.0 for thr in thresholds):
+        raise DomainError(f"IoU thresholds must be in (0, 1], got {list(thresholds)}")
     for video_id, vg in gts.items():
         for g in vg:
             if g.class_id is None:
                 raise DomainError(f"ground truth without class_id in {video_id}")
+    _check_shared_videos(preds, gts)
     ranked = _ranked_preds(preds, require_class=True)
     classes = sorted({g.class_id for vg in gts.values() for g in vg})
     gt_by_class: dict[int, dict[str, list[ActionInterval]]] = {c: {} for c in classes}
@@ -178,36 +277,18 @@ def interval_map(
         for g in gts[video_id]:
             gt_by_class[g.class_id].setdefault(video_id, []).append(g)
 
-    per_class_ap: dict[float, dict[int, float]] = {}
-    map_per_threshold: dict[float, float] = {}
-    for thr in thresholds:
-        by_class: dict[int, float] = {}
-        for c in classes:
-            class_gts = gt_by_class[c]
-            num_gt = sum(len(v) for v in class_gts.values())
-            matched = {vid: [False] * len(v) for vid, v in class_gts.items()}
-            flags = []
-            for video_id, _, p in ranked:
-                if p.class_id != c:
-                    continue
-                candidates = class_gts.get(video_id, [])
-                best, best_iou = -1, thr
-                for j, g in enumerate(candidates):
-                    if matched[video_id][j]:
-                        continue
-                    overlap = tiou(p, g)
-                    if overlap >= best_iou:
-                        best, best_iou = j, overlap
-                if best >= 0:
-                    matched[video_id][best] = True
-                    flags.append(True)
-                else:
-                    flags.append(False)
-            by_class[c] = average_precision(flags, num_gt)
-        per_class_ap[thr] = by_class
-        map_per_threshold[thr] = (
-            float(np.mean(list(by_class.values()))) if by_class else 0.0
-        )
+    per_class_ap: dict[float, dict[int, float]] = {thr: {} for thr in thresholds}
+    for c in classes:
+        class_gts = gt_by_class[c]
+        num_gt = sum(len(v) for v in class_gts.values())
+        class_ranked = [(vid, p) for vid, p in ranked if p.class_id == c]
+        flags = _ranked_flags(class_ranked, class_gts, _iou_gain, thresholds)
+        for thr, hits in zip(thresholds, flags):
+            per_class_ap[thr][c] = average_precision(hits, num_gt)
+    map_per_threshold = {
+        thr: float(np.mean(list(by_class.values()))) if by_class else 0.0
+        for thr, by_class in per_class_ap.items()
+    }
     average_map = float(np.mean(list(map_per_threshold.values())))
     return APReport(per_class_ap, map_per_threshold, average_map)
 
@@ -242,6 +323,7 @@ def point_map(
     if len(has_class) > 1:
         raise DomainError("ground truth mixes intervals with and without class_id")
     classwise = has_class == {True}
+    _check_shared_videos(preds, gts)
     ranked = _ranked_preds(preds, require_class=False)
     classes = (
         sorted({g.class_id for vg in gts.values() for g in vg})
@@ -249,35 +331,24 @@ def point_map(
         else [None]
     )
 
-    per_offset: dict[int, float] = {}
-    for offset in offsets:
-        aps = []
-        for c in classes:
-            class_gts = {
-                vid: [g for g in vg if not classwise or g.class_id == c]
-                for vid, vg in gts.items()
-            }
-            num_gt = sum(len(v) for v in class_gts.values())
-            if num_gt == 0:
-                continue
-            matched = {vid: [False] * len(v) for vid, v in class_gts.items()}
-            flags = []
-            for video_id, _, p in ranked:
-                if classwise and p.class_id != c:
-                    continue
-                candidates = class_gts.get(video_id, [])
-                best, best_dist = -1, offset + 1
-                for j, g in enumerate(candidates):
-                    if matched[video_id][j]:
-                        continue
-                    dist = abs(p.start_frame - g.start_frame)
-                    if dist <= offset and dist < best_dist:
-                        best, best_dist = j, dist
-                if best >= 0:
-                    matched[video_id][best] = True
-                    flags.append(True)
-                else:
-                    flags.append(False)
-            aps.append(average_precision(flags, num_gt))
-        per_offset[int(offset)] = float(np.mean(aps)) if aps else 0.0
+    # A start within `offset` frames is a gain of at least -offset.
+    floors = [-o for o in offsets]
+    aps: list[list[float]] = [[] for _ in offsets]
+    for c in classes:
+        class_gts = {
+            vid: [g for g in vg if not classwise or g.class_id == c]
+            for vid, vg in gts.items()
+        }
+        num_gt = sum(len(v) for v in class_gts.values())
+        if num_gt == 0:
+            continue
+        class_ranked = [
+            (vid, p) for vid, p in ranked if not classwise or p.class_id == c
+        ]
+        flags = _ranked_flags(class_ranked, class_gts, _start_gain, floors)
+        for offset_aps, hits in zip(aps, flags):
+            offset_aps.append(average_precision(hits, num_gt))
+    per_offset = {
+        int(o): float(np.mean(a)) if a else 0.0 for o, a in zip(offsets, aps)
+    }
     return PointAPReport(per_offset, float(np.mean(list(per_offset.values()))))

@@ -232,8 +232,12 @@ def run_cell(
     )
 
 
-def _run_cell_task(args) -> SweepRow:
-    train_set, eval_set, config, tiou_threshold = args
+def _run_cell_safe(
+    train_set: list[Video],
+    eval_set: list[Video],
+    config: TrainConfig,
+    tiou_threshold: float,
+) -> SweepRow:
     try:
         return run_cell(train_set, eval_set, config, tiou_threshold)
     except DomainError as exc:
@@ -248,6 +252,21 @@ def _run_cell_task(args) -> SweepRow:
             seed=config.seed,
             error=str(exc),
         )
+
+
+# The train and eval sets of a sweep pool worker.  The pool's initializer
+# sets them once in each worker, never in the calling process, so that each
+# task carries only (config, tiou_threshold).
+_worker_sets: tuple[list[Video], list[Video]] = ([], [])
+
+
+def _init_worker(train_set: list[Video], eval_set: list[Video]) -> None:
+    global _worker_sets
+    _worker_sets = (train_set, eval_set)
+
+
+def _run_worker_cell(task: tuple[TrainConfig, float]) -> SweepRow:
+    return _run_cell_safe(*_worker_sets, *task)
 
 
 def sweep_alpha(
@@ -273,12 +292,16 @@ def sweep_alpha(
         for alpha in sorted(alphas):
             for seed in seeds:
                 cfg = replace(base, num_switches=k, alpha=alpha, seed=seed)
-                tasks.append((train_set, eval_set, cfg, tiou_threshold))
+                tasks.append((cfg, tiou_threshold))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell_task, tasks))
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(train_set, eval_set),
+        ) as pool:
+            results = list(pool.map(_run_worker_cell, tasks))
     else:
-        results = [_run_cell_task(t) for t in tasks]
+        results = [_run_cell_safe(train_set, eval_set, *t) for t in tasks]
     for r in results:
         if r.error is not None:
             log.warning(

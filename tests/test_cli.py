@@ -309,3 +309,27 @@ def test_eval_odas_rejects_mixed_ground_truth(tmp_path):
             "--out", out)
         == 2
     )
+
+
+@pytest.mark.parametrize("command", ["eval-f1", "eval-map", "eval-odas"])
+def test_eval_rejects_disjoint_video_ids(tmp_path, command):
+    gts = tmp_path / "gt.jsonl"
+    preds = tmp_path / "p.jsonl"
+    write_instances(gts, {"synth": [ActionInterval(10, 40, class_id=1)]})
+    write_instances(
+        preds, {"video": [ActionInterval(10, 40, class_id=1, score=0.9)]}
+    )
+    out = tmp_path / "report.json"
+    extra = ["--fps", 2.0] if command == "eval-odas" else []
+    assert run(command, "--preds", preds, "--gts", gts, *extra, "--out", out) == 2
+    assert not out.exists()
+
+
+def test_eval_of_empty_prediction_file(tmp_path):
+    gts = tmp_path / "gt.jsonl"
+    preds = tmp_path / "p.jsonl"
+    write_instances(gts, {"synth": [ActionInterval(10, 40, class_id=1)]})
+    preds.write_text("")
+    out = tmp_path / "f1.json"
+    assert run("eval-f1", "--preds", preds, "--gts", gts, "--out", out) == 0
+    assert json.loads(out.read_text())["f1"] == 0.0

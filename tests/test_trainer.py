@@ -179,6 +179,16 @@ class TestSweep:
         b = sweep_alpha(train_set, eval_set, **kwargs)
         assert a == b
 
+    def test_parallel_rows_equal_serial(self):
+        train_set, eval_set = tiny_split()
+        kwargs = dict(
+            alphas=[0.0, 0.05], switch_counts=[1],
+            base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0, 1),
+        )
+        serial = sweep_alpha(train_set, eval_set, jobs=1, **kwargs)
+        parallel = sweep_alpha(train_set, eval_set, jobs=2, **kwargs)
+        assert parallel == serial
+
     def test_empty_grid(self):
         train_set, eval_set = tiny_split()
         with pytest.raises(DomainError):

@@ -31,16 +31,40 @@ def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
 
 
 def instance_from_record(rec: dict) -> tuple[str, ActionInterval]:
+    """Parse one record; every field must already have its JSON type.
+
+    Nothing is coerced: a float frame (3.7), a bool frame (true), a string
+    flag ("false") or a numeric video id is a DomainError.  ``type(v) is``
+    checks keep bools out of the integer and number fields.
+    """
     try:
-        return rec["video_id"], ActionInterval(
-            start_frame=int(rec["start"]),
-            end_frame=int(rec["end"]),
-            class_id=None if rec.get("class_id") is None else int(rec["class_id"]),
-            score=None if rec.get("score") is None else float(rec["score"]),
-            truncated=bool(rec.get("truncated", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        video_id, start, end = rec["video_id"], rec["start"], rec["end"]
+        class_id = rec.get("class_id")
+        score = rec.get("score")
+        truncated = rec.get("truncated", False)
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"bad instance record {rec!r}: {exc}") from exc
+    if type(video_id) is not str:
+        problem = "video_id must be a string"
+    elif type(start) is not int or type(end) is not int:
+        problem = "start and end must be integers"
+    elif class_id is not None and type(class_id) is not int:
+        problem = "class_id must be an integer or null"
+    elif score is not None and type(score) is not float and type(score) is not int:
+        problem = "score must be a number or null"
+    elif type(truncated) is not bool:
+        problem = "truncated must be true or false"
+    else:
+        problem = None
+    if problem:
+        raise DomainError(f"bad instance record {rec!r}: {problem}")
+    return video_id, ActionInterval(
+        start_frame=start,
+        end_frame=end,
+        class_id=class_id,
+        score=None if score is None else float(score),
+        truncated=truncated,
+    )
 
 
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:

@@ -103,13 +103,15 @@ def init_params(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _read_only(value: float) -> np.ndarray:
+    arr = np.array(value)
+    arr.flags.writeable = False
+    return arr
+
+
+# Operands of the per-step ufuncs: a 0-d array is cheaper to pass than a
+# Python float, which numpy converts on every call.
+_ZERO, _ONE, _MINUS_ONE = _read_only(0.0), _read_only(1.0), _read_only(-1.0)
 
 
 def forward_step(
@@ -130,6 +132,7 @@ def forward_sequence(
 
     The only implementation of the cell: forward_step is its one-row call,
     and passing the last hidden state as the next h0 continues a stream.
+    Each step writes in place into buffers allocated once per call.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.feature_dim:
@@ -142,27 +145,50 @@ def forward_sequence(
     if not np.all(np.isfinite(xs)):
         raise DomainError("non-finite values in features")
     hd = params.hidden_dim
-    h = np.zeros(hd) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
-    if h.shape != (hd,):
-        raise DomainError(f"h0 shape {h.shape} != ({hd},)")
+    h0 = np.zeros(hd) if h0 is None else np.asarray(h0, dtype=np.float64)
+    if h0.shape != (hd,):
+        raise DomainError(f"h0 shape {h0.shape} != ({hd},)")
 
     # Input projections for every step at once; the loop only does the
     # recurrent matvecs and elementwise gates.
-    az_x = xs @ params.w_z.T + params.b_z
-    ah_x = xs @ params.w_h.T + params.b_h
+    az_x = xs @ params.w_z.T
+    az_x += params.b_z
+    ah_x = xs @ params.w_h.T
+    ah_x += params.b_h
     h_prev = np.empty((t, hd))
     z_all = np.empty((t, hd))
     cand_all = np.empty((t, hd))
     h_all = np.empty((t, hd))
-    for i in range(t):
-        h_prev[i] = h
-        z = _sigmoid(az_x[i] + params.u_z @ h)
-        cand = np.tanh(ah_x[i] + params.u_h @ h)
-        h = (1.0 - z) * h + z * cand
-        z_all[i] = z
-        cand_all[i] = cand
-        h_all[i] = h
-    logits = h_all @ params.w_o.T + params.b_o
+    # Numerator and denominator exps of the sigmoid, one exp call for both.
+    exps = np.empty((2, hd))
+    num, neg_abs = exps
+    den, keep = np.empty((2, hd))
+    u_z, u_h = params.u_z, params.u_h
+    h = h0
+    for z, cand, h_next, a_z, a_h in zip(z_all, cand_all, h_all, az_x, ah_x):
+        np.dot(u_z, h, out=z)
+        np.add(a_z, z, out=z)
+        # z = sigmoid(z) as exp(min(z, 0)) / (1 + exp(-|z|)): that is
+        # 1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z))
+        # elsewhere, with no mask and no exp that can overflow.
+        np.minimum(z, _ZERO, out=num)
+        np.copysign(z, _MINUS_ONE, out=neg_abs)
+        np.exp(exps, out=exps)
+        np.add(neg_abs, _ONE, out=den)
+        np.divide(num, den, out=z)
+        np.dot(u_h, h, out=cand)
+        np.add(a_h, cand, out=cand)
+        np.tanh(cand, out=cand)
+        # h_next = (1 - z) * h + z * cand
+        np.subtract(_ONE, z, out=keep)
+        np.multiply(keep, h, out=keep)
+        np.multiply(z, cand, out=h_next)
+        np.add(keep, h_next, out=h_next)
+        h = h_next
+    h_prev[0] = h0
+    h_prev[1:] = h_all[:-1]
+    logits = h_all @ params.w_o.T
+    logits += params.b_o
     cache = ForwardCache(
         params=params, xs=xs, h_prev=h_prev, z=z_all, h_cand=cand_all, h=h_all
     )
@@ -170,7 +196,12 @@ def forward_sequence(
 
 
 def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
-    """Exact BPTT: parameter gradients for a cotangent on the logits."""
+    """Exact BPTT: parameter gradients for a cotangent on the logits.
+
+    The factors that do not depend on the carried gradient are computed for
+    the whole window first; each step writes in place into buffers
+    allocated once per call, keeping the operand order of every product.
+    """
     p = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
     t = cache.xs.shape[0]
@@ -183,19 +214,32 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     grads.b_o[:] = dlogits.sum(axis=0)
     dh_out = dlogits @ p.w_o  # (T, H)
 
-    daz = np.empty_like(cache.z)
-    dah = np.empty_like(cache.z)
-    carry = np.zeros(p.hidden_dim)
-    for i in range(t - 1, -1, -1):
-        dh = dh_out[i] + carry
-        z = cache.z[i]
-        cand = cache.h_cand[i]
-        dz = dh * (cand - cache.h_prev[i])
-        da_z = dz * z * (1.0 - z)
-        da_h = dh * z * (1.0 - cand * cand)
-        daz[i] = da_z
-        dah[i] = da_h
-        carry = dh * (1.0 - z) + p.u_z.T @ da_z + p.u_h.T @ da_h
+    z_all = cache.z
+    diff = cache.h_cand - cache.h_prev
+    one_minus_z = _ONE - z_all
+    dtanh = cache.h_cand * cache.h_cand
+    np.subtract(_ONE, dtanh, out=dtanh)
+    daz = np.empty_like(z_all)
+    dah = np.empty_like(z_all)
+    dh, carry, back = np.zeros((3, p.hidden_dim))
+    u_z_t, u_h_t = p.u_z.T, p.u_h.T
+    rows = (daz, dah, z_all, one_minus_z, diff, dtanh, dh_out)
+    for da_z, da_h, z, omz, dif, dtan, dh_o in zip(*(r[::-1] for r in rows)):
+        np.add(dh_o, carry, out=dh)
+        # da_z = dh * (cand - h_prev) * z * (1 - z)
+        np.multiply(dh, dif, out=da_z)
+        np.multiply(da_z, z, out=da_z)
+        np.multiply(da_z, omz, out=da_z)
+        # da_h = dh * z * (1 - cand^2)
+        np.multiply(dh, z, out=da_h)
+        np.multiply(da_h, dtan, out=da_h)
+        # carry = dh * (1 - z) + u_z^T da_z + u_h^T da_h; one matvec over
+        # the stacked [u_z; u_h] would round differently.
+        np.multiply(dh, omz, out=carry)
+        np.dot(u_z_t, da_z, out=back)
+        np.add(carry, back, out=carry)
+        np.dot(u_h_t, da_h, out=back)
+        np.add(carry, back, out=carry)
 
     grads.w_z[:] = daz.T @ cache.xs
     grads.u_z[:] = daz.T @ cache.h_prev

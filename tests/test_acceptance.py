@@ -250,12 +250,14 @@ def high_overlap_rows():
     return {r.num_switches: r for r in rows}, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_7a_second_switch_raises_recall(trend_rows):
     rows, _ = trend_rows
     r1, r2 = rows[(1, 0.0)].recall, rows[(2, 0.0)].recall
     report("7a", r2 > r1, f"recall 2-switch {r2:.3f} > 1-switch {r1:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_7b_proposals_decrease_with_alpha(trend_rows):
     rows, _ = trend_rows
     props = [rows[(2, a)].num_proposals for a in ALPHAS]
@@ -263,12 +265,14 @@ def test_criterion_7b_proposals_decrease_with_alpha(trend_rows):
     report("7b", ok, f"num_proposals over alpha {ALPHAS}: {props}")
 
 
+@pytest.mark.slow
 def test_criterion_7c_alpha_raises_precision(trend_rows):
     rows, _ = trend_rows
     p0, p25 = rows[(2, 0.0)].precision, rows[(2, 0.025)].precision
     report("7c", p25 > p0, f"precision {p25:.3f} (a=0.025) > {p0:.3f} (a=0)")
 
 
+@pytest.mark.slow
 def test_criterion_7d_recall_nondecreasing_in_switches(high_overlap_rows):
     rows, _ = high_overlap_rows
     recalls = [rows[k].recall for k in (1, 2, 3)]
@@ -276,6 +280,7 @@ def test_criterion_7d_recall_nondecreasing_in_switches(high_overlap_rows):
     report("7d", ok, f"high-overlap recall by switches: {recalls}")
 
 
+@pytest.mark.slow
 def test_criterion_7_runtime_budget(trend_rows, high_overlap_rows):
     total = trend_rows[1] + high_overlap_rows[1]
     report("7-budget", total < 300.0, f"trend training took {total:.0f}s")

@@ -333,3 +333,20 @@ def test_eval_of_empty_prediction_file(tmp_path):
     out = tmp_path / "f1.json"
     assert run("eval-f1", "--preds", preds, "--gts", gts, "--out", out) == 0
     assert json.loads(out.read_text())["f1"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["eval-f1", "eval-map", "eval-odas"])
+def test_eval_rejects_non_string_video_id(tmp_path, command):
+    gts = tmp_path / "gt.jsonl"
+    preds = tmp_path / "p.jsonl"
+    write_instances(gts, {"v": [ActionInterval(10, 40, class_id=1)]})
+    records = [
+        {"video_id": vid, "start": 10, "end": 40, "class_id": 1,
+         "score": 0.9, "truncated": False}
+        for vid in (5, "v")
+    ]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "report.json"
+    extra = ["--fps", 2.0] if command == "eval-odas" else []
+    assert run(command, "--preds", preds, "--gts", gts, *extra, "--out", out) == 2
+    assert not out.exists()

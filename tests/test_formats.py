@@ -81,3 +81,56 @@ def test_state_sequence_rejects_malformed(tmp_path):
     path.write_text("[]")
     with pytest.raises(DomainError):
         read_state_sequence(path)
+
+
+def _read_one(tmp_path, **fields):
+    rec = {"video_id": "v", "start": 3, "end": 9, "class_id": 1,
+           "score": 0.5, "truncated": False}
+    rec.update(fields)
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    return read_instances(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"start": 3.7, "end": 9.9, "class_id": 1.5, "truncated": "false"},
+        {"start": 3.0},
+        {"end": 9.9},
+        {"start": True},
+        {"start": False, "end": True},
+        {"start": "3"},
+        {"class_id": 1.5},
+        {"class_id": True},
+        {"class_id": "1"},
+        {"score": True},
+        {"score": "0.5"},
+        {"score": [0.5]},
+        {"truncated": "false"},
+        {"truncated": 0},
+        {"truncated": None},
+        {"video_id": 5},
+        {"video_id": None},
+        {"video_id": ["v"]},
+    ],
+)
+def test_instances_reject_wrong_json_types(tmp_path, fields):
+    with pytest.raises(DomainError):
+        _read_one(tmp_path, **fields)
+
+
+def test_instances_accept_exact_json_types(tmp_path):
+    inst = _read_one(tmp_path, score=1, class_id=None)["v"][0]
+    assert (inst.span, inst.class_id, inst.score) == ((3, 9), None, 1.0)
+    assert type(inst.score) is float
+    inst = _read_one(tmp_path, score=None, truncated=True)["v"][0]
+    assert inst.score is None and inst.truncated is True
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"v"', "5", "null"])
+def test_instances_reject_non_object_records(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(DomainError):
+        read_instances(path)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from switchdet import trainer
 from switchdet.exceptions import DomainError
 from switchdet.losses import sequence_loss_and_grad
 from switchdet.scorer import (
+    ForwardCache,
     ScorerParams,
     backward_sequence,
     forward_sequence,
@@ -12,6 +14,7 @@ from switchdet.scorer import (
     load_checkpoint,
     save_checkpoint,
 )
+from switchdet.switchboard import ActionInterval
 
 
 def zero_params(d=3, h=2, s=4):
@@ -164,6 +167,183 @@ class TestBackward:
                     rel = abs(fd - g[idx]) / max(1e-6, abs(fd) + abs(g[idx]))
                     assert rel < 1e-5, (name, idx, fd, g[idx])
             checked += 1
+
+
+# Reference loops: the per-frame forward and BPTT bodies the scorer had before
+# its loops wrote into buffers allocated once per call.  They build fresh
+# arrays every step; the scorer must equal them bit for bit.
+
+
+def reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def reference_forward_sequence(params, xs, h0=None):
+    xs = np.asarray(xs, dtype=np.float64)
+    t, hd = xs.shape[0], params.hidden_dim
+    h = np.zeros(hd) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    az_x = xs @ params.w_z.T + params.b_z
+    ah_x = xs @ params.w_h.T + params.b_h
+    h_prev = np.empty((t, hd))
+    z_all = np.empty((t, hd))
+    cand_all = np.empty((t, hd))
+    h_all = np.empty((t, hd))
+    for i in range(t):
+        h_prev[i] = h
+        z = reference_sigmoid(az_x[i] + params.u_z @ h)
+        cand = np.tanh(ah_x[i] + params.u_h @ h)
+        h = (1.0 - z) * h + z * cand
+        z_all[i] = z
+        cand_all[i] = cand
+        h_all[i] = h
+    logits = h_all @ params.w_o.T + params.b_o
+    cache = ForwardCache(
+        params=params, xs=xs, h_prev=h_prev, z=z_all, h_cand=cand_all, h=h_all
+    )
+    return logits, cache
+
+
+def reference_backward_sequence(cache, dlogits):
+    p = cache.params
+    dlogits = np.asarray(dlogits, dtype=np.float64)
+    t = cache.xs.shape[0]
+    grads = p.zeros_like()
+    grads.w_o[:] = dlogits.T @ cache.h
+    grads.b_o[:] = dlogits.sum(axis=0)
+    dh_out = dlogits @ p.w_o
+    daz = np.empty_like(cache.z)
+    dah = np.empty_like(cache.z)
+    carry = np.zeros(p.hidden_dim)
+    for i in range(t - 1, -1, -1):
+        dh = dh_out[i] + carry
+        z = cache.z[i]
+        cand = cache.h_cand[i]
+        dz = dh * (cand - cache.h_prev[i])
+        da_z = dz * z * (1.0 - z)
+        da_h = dh * z * (1.0 - cand * cand)
+        daz[i] = da_z
+        dah[i] = da_h
+        carry = dh * (1.0 - z) + p.u_z.T @ da_z + p.u_h.T @ da_h
+    grads.w_z[:] = daz.T @ cache.xs
+    grads.u_z[:] = daz.T @ cache.h_prev
+    grads.b_z[:] = daz.sum(axis=0)
+    grads.w_h[:] = dah.T @ cache.xs
+    grads.u_h[:] = dah.T @ cache.h_prev
+    grads.b_h[:] = dah.sum(axis=0)
+    return grads
+
+
+CACHE_FIELDS = ("xs", "h_prev", "z", "h_cand", "h")
+PARAM_FIELDS = ("w_z", "u_z", "b_z", "w_h", "u_h", "b_h", "w_o", "b_o")
+
+
+def assert_same_bits(a, b, what):
+    assert a.shape == b.shape, what
+    assert np.array_equal(a, b), what
+    # array_equal treats -0.0 == 0.0; the raw bytes do not.
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), what
+
+
+def assert_matches_reference(params, xs, h0, seed):
+    logits, cache = forward_sequence(params, xs, h0)
+    ref_logits, ref_cache = reference_forward_sequence(params, xs, h0)
+    assert_same_bits(logits, ref_logits, "logits")
+    for name in CACHE_FIELDS:
+        assert_same_bits(getattr(cache, name), getattr(ref_cache, name), name)
+    dlogits = np.random.default_rng(seed).normal(size=logits.shape)
+    grads = backward_sequence(cache, dlogits)
+    ref_grads = reference_backward_sequence(ref_cache, dlogits)
+    for name in PARAM_FIELDS:
+        assert_same_bits(getattr(grads, name), getattr(ref_grads, name), "d" + name)
+
+
+class TestMatchesReferenceLoops:
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("t", [1, 2, 33])
+    def test_lengths_and_initial_state(self, t, with_h0):
+        rng = np.random.default_rng(10 + t)
+        p = init_params(5, 7, 4, seed=t)
+        h0 = rng.uniform(-1, 1, size=7) if with_h0 else None
+        assert_matches_reference(p, rng.normal(size=(t, 5)), h0, seed=t)
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    @pytest.mark.parametrize("d, h", [(16, 32), (9, 4), (1, 3), (3, 1)])
+    def test_state_counts_with_d_not_h(self, s, d, h):
+        rng = np.random.default_rng(100 * s + d)
+        p = init_params(d, h, s, seed=s + d)
+        for arr in p.arrays():
+            arr += rng.normal(scale=0.3, size=arr.shape)
+        h0 = rng.uniform(-1, 1, size=h)
+        assert_matches_reference(p, rng.normal(size=(40, d)), h0, seed=s)
+
+    def test_saturated_gates(self):
+        # Pre-activations of about +-40: the sigmoid sits at 0 or 1 and the
+        # candidate at +-1, and no exp may overflow.
+        rng = np.random.default_rng(3)
+        p = init_params(4, 6, 4, seed=3)
+        for arr in (p.w_z, p.u_z, p.w_h, p.u_h):
+            arr *= 1e-3
+        p.b_z[:] = [40.0, -40.0, 39.5, -39.5, 40.0, -40.0]
+        p.b_h[:] = [-40.0, 40.0, -40.0, 40.0, 0.5, -0.5]
+        xs = rng.normal(size=(25, 4))
+        _, cache = forward_sequence(p, xs)
+        assert (cache.z[:, 0] > 1 - 1e-15).all() and (cache.z[:, 1] < 1e-15).all()
+        assert_matches_reference(p, xs, None, seed=3)
+        big = rng.normal(size=(25, 4)) * 1e3
+        assert_matches_reference(init_params(4, 6, 4, seed=4), big, None, seed=4)
+
+    def test_exact_zero_pre_activations(self):
+        # Zero gate weights: every pre-activation is exactly 0, the branch
+        # point of the sigmoid; signed-zero biases and inputs must not flip
+        # a bit anywhere.
+        rng = np.random.default_rng(5)
+        p = init_params(3, 4, 4, seed=5)
+        for arr in (p.w_z, p.u_z, p.w_h, p.u_h):
+            arr[:] = 0.0
+        p.w_z[0] = -0.0
+        p.b_z[:] = [0.0, -0.0, 0.0, -0.0]
+        p.b_h[:] = [-0.0, 0.0, 0.25, -0.25]
+        xs = rng.normal(size=(12, 3))
+        xs[3] = -0.0
+        xs[4] = 0.0
+        _, cache = forward_sequence(p, xs, np.array([-0.0, 0.0, 0.5, -0.5]))
+        assert (cache.z == 0.5).all()
+        assert_matches_reference(p, xs, np.array([-0.0, 0.0, 0.5, -0.5]), seed=5)
+        assert_matches_reference(p, xs, None, seed=6)
+
+    def test_zero_cotangent_rows(self):
+        rng = np.random.default_rng(7)
+        p = init_params(4, 5, 4, seed=7)
+        xs = rng.normal(size=(20, 4))
+        logits, cache = forward_sequence(p, xs)
+        _, ref_cache = reference_forward_sequence(p, xs)
+        dlogits = rng.normal(size=logits.shape)
+        dlogits[5:12] = 0.0
+        dlogits[15:] = -0.0
+        grads = backward_sequence(cache, dlogits)
+        ref = reference_backward_sequence(ref_cache, dlogits)
+        for name in PARAM_FIELDS:
+            assert_same_bits(getattr(grads, name), getattr(ref, name), name)
+
+    def test_training_matches_reference_loops(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        feats = rng.normal(size=(300, 6))
+        insts = [ActionInterval(20, 90), ActionInterval(60, 150), ActionInterval(200, 280)]
+        config = trainer.TrainConfig(
+            epochs=2, bptt_len=64, hidden_dim=8, alpha=0.025, learning_rate=1e-2
+        )
+        params, history = trainer.train([(feats, insts)], config)
+        monkeypatch.setattr(trainer, "forward_sequence", reference_forward_sequence)
+        monkeypatch.setattr(trainer, "backward_sequence", reference_backward_sequence)
+        ref_params, ref_history = trainer.train([(feats, insts)], config)
+        for name in PARAM_FIELDS:
+            assert_same_bits(getattr(params, name), getattr(ref_params, name), name)
+        assert [e.to_json() for e in history] == [e.to_json() for e in ref_history]
 
 
 class TestCheckpoint:

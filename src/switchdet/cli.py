@@ -9,6 +9,7 @@ error, 2 data error.  Log verbosity via the ASW_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -423,12 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing never changes it, so calls share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("ASW_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

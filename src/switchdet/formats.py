@@ -18,6 +18,10 @@ import numpy as np
 from .exceptions import DomainError
 from .switchboard import ActionInterval, SwitchConfig
 
+# Decodes one value and returns where it ended; json.loads would also skip
+# whitespace around it with two regex matches per line.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
     return {
@@ -58,13 +62,9 @@ def instance_from_record(rec: dict) -> tuple[str, ActionInterval]:
         problem = None
     if problem:
         raise DomainError(f"bad instance record {rec!r}: {problem}")
-    return video_id, ActionInterval(
-        start_frame=start,
-        end_frame=end,
-        class_id=class_id,
-        score=None if score is None else float(score),
-        truncated=truncated,
-    )
+    if type(score) is int:
+        score = float(score)
+    return video_id, ActionInterval(start, end, class_id, score, truncated)
 
 
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
@@ -76,6 +76,11 @@ def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
 
 
 def read_instances(path) -> dict[str, list[ActionInterval]]:
+    """Per-video instance lists of a JSON Lines file; blank lines are skipped.
+
+    Each line must hold exactly one JSON value, a valid record; any error
+    names the file and line.
+    """
     videos: dict[str, list[ActionInterval]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -83,11 +88,19 @@ def read_instances(path) -> dict[str, list[ActionInterval]]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            video_id, inst = instance_from_record(rec)
-            videos.setdefault(video_id, []).append(inst)
+            try:
+                video_id, inst = instance_from_record(rec)
+            except DomainError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from exc
+            insts = videos.get(video_id)
+            if insts is None:
+                insts = videos[video_id] = []
+            insts.append(inst)
     return videos
 
 

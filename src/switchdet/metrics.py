@@ -198,29 +198,46 @@ def _ranked_flags(ranked, gts, gain, floors) -> np.ndarray:
 
     ``ranked`` holds (video id, prediction) in rank order and ``gts`` maps
     video ids to ground truth.  ``gain(pred spans, gt spans)`` scores every
-    pair of one video, larger being better; it is computed once per video
-    and reused for every floor.  In rank order, each prediction takes the
-    unmatched ground truth of its video with the largest gain (the first on
-    ties) and is a hit if that gain reaches the floor.
+    pair of one video, larger being better.  In rank order, each prediction
+    takes the unmatched ground truth of its video with the largest gain (the
+    first on ties) and is a hit if that gain reaches the floor.
+
+    Once per video, each row keeps only its candidate columns, those whose
+    gain reaches the lowest floor, ordered by gain descending and then by
+    column; every floor then walks those short lists.
     """
     flags = np.zeros((len(floors), len(ranked)), dtype=bool)
     positions: dict[str, list[int]] = {}
     for at, (video_id, _) in enumerate(ranked):
         positions.setdefault(video_id, []).append(at)
+    lowest = min(floors)
     for video_id, at in positions.items():
         if not gts.get(video_id):
             continue
         gains = gain(_spans([ranked[i][1] for i in at]), _spans(gts[video_id]))
-        row_best = gains.max(axis=1).tolist()
+        rows, cols = np.nonzero(gains >= lowest)
+        cand_gains = gains[rows, cols]
+        order = np.lexsort((cols, -cand_gains, rows))
+        pairs = list(zip(cand_gains[order].tolist(), cols[order].tolist()))
+        # nonzero lists rows in ascending order: each row's pairs are a slice.
+        bounds = np.searchsorted(rows, np.arange(len(at) + 1)).tolist()
+        candidates = [
+            (at[row], pairs[lo:hi])
+            for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if lo < hi
+        ]
         for hits, floor in zip(flags, floors):
-            open_gains = gains.copy()  # a matched column drops to -inf
-            for row, pos in enumerate(at):
-                if row_best[row] < floor:
-                    continue
-                j = open_gains[row].argmax()
-                if open_gains[row, j] >= floor:
-                    hits[pos] = True
-                    open_gains[:, j] = -np.inf
+            taken: set[int] = set()
+            hit_at = []
+            for pos, row_pairs in candidates:
+                for g, col in row_pairs:
+                    if g < floor:
+                        break
+                    if col not in taken:
+                        taken.add(col)
+                        hit_at.append(pos)
+                        break
+            hits[hit_at] = True
     return flags
 
 

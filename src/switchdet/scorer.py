@@ -70,6 +70,17 @@ class ScorerParams:
     def zeros_like(self) -> "ScorerParams":
         return ScorerParams(*(np.zeros_like(a) for a in self.arrays()))
 
+    @classmethod
+    def _unchecked(cls, **arrays: np.ndarray) -> "ScorerParams":
+        """Wrap all eight arrays, by name, without __post_init__'s checks.
+
+        For gradients: their shapes follow from checked parameters, and a
+        non-finite gradient is returned, not raised.
+        """
+        obj = cls.__new__(cls)
+        obj.__dict__.update(arrays)
+        return obj
+
 
 @dataclass
 class ForwardCache:
@@ -209,9 +220,6 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         raise DomainError(
             f"dlogits shape {dlogits.shape} != ({t}, {p.num_states})"
         )
-    grads = p.zeros_like()
-    grads.w_o[:] = dlogits.T @ cache.h
-    grads.b_o[:] = dlogits.sum(axis=0)
     dh_out = dlogits @ p.w_o  # (T, H)
 
     z_all = cache.z
@@ -241,13 +249,16 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         np.dot(u_h_t, da_h, out=back)
         np.add(carry, back, out=carry)
 
-    grads.w_z[:] = daz.T @ cache.xs
-    grads.u_z[:] = daz.T @ cache.h_prev
-    grads.b_z[:] = daz.sum(axis=0)
-    grads.w_h[:] = dah.T @ cache.xs
-    grads.u_h[:] = dah.T @ cache.h_prev
-    grads.b_h[:] = dah.sum(axis=0)
-    return grads
+    return ScorerParams._unchecked(
+        w_z=daz.T @ cache.xs,
+        u_z=daz.T @ cache.h_prev,
+        b_z=daz.sum(axis=0),
+        w_h=dah.T @ cache.xs,
+        u_h=dah.T @ cache.h_prev,
+        b_h=dah.sum(axis=0),
+        w_o=dlogits.T @ cache.h,
+        b_o=dlogits.sum(axis=0),
+    )
 
 
 def save_checkpoint(path, params: ScorerParams) -> None:

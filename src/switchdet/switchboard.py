@@ -205,6 +205,9 @@ class StreamDecoder:
                 f"expected frame {self._next_frame}, got {frame}"
             )
         state = check_state(state, self.config)
+        self._next_frame = frame + 1
+        if state == self._prev:  # no switch flipped: nothing opens or closes
+            return []
         completed = []
         for j in range(self.config.num_switches):
             was = self._prev >> j & 1
@@ -215,7 +218,6 @@ class StreamDecoder:
             elif now and not was:
                 self._open[j] = frame
         self._prev = state
-        self._next_frame = frame + 1
         return completed
 
     def finalize(self) -> list[ActionInterval]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from switchdet import cli
 from switchdet.cli import main
 from switchdet.formats import write_instances, write_state_sequence
 from switchdet.scorer import init_params, save_checkpoint
@@ -350,3 +351,71 @@ def test_eval_rejects_non_string_video_id(tmp_path, command):
     extra = ["--fps", 2.0] if command == "eval-odas" else []
     assert run(command, "--preds", preds, "--gts", gts, *extra, "--out", out) == 2
     assert not out.exists()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next.
+
+    Each call of a sequence on the shared parser must write what the same
+    call writes on a fresh parser, so no default or ``append`` list carries
+    over from an earlier call.
+    """
+
+    @staticmethod
+    def outputs(argv, files):
+        assert run(*argv) == 0
+        return [f.read_bytes() for f in files]
+
+    def check_sequence(self, calls):
+        """calls: (argv, files written) in order; files include manifests."""
+        want = []
+        for argv, files in calls:
+            cli._parser.cache_clear()
+            want.append(self.outputs(argv, files))
+        cli._parser.cache_clear()
+        parser = cli._parser()
+        for (argv, files), expected in zip(calls, want):
+            assert self.outputs(argv, files) == expected
+        assert cli._parser() is parser
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        gts, preds = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+        write_instances(gts, {"v": [ActionInterval(10, 40, class_id=1),
+                                    ActionInterval(30, 70, class_id=2)]})
+        write_instances(preds, {"v": [ActionInterval(12, 40, class_id=1, score=0.9),
+                                      ActionInterval(45, 70, class_id=2, score=0.8)]})
+        return preds, gts
+
+    def test_eval_map_tious_then_default(self, scored, tmp_path):
+        preds, gts = scored
+        out = tmp_path / "map.json"
+        files = [out, tmp_path / "map.json.manifest.json"]
+        base = ["eval-map", "--preds", preds, "--gts", gts, "--out", out]
+        self.check_sequence(
+            [(base + ["--tious", "0.5,0.9"], files), (base, files)]
+        )
+
+    def test_eval_odas_default_offsets(self, scored, tmp_path):
+        preds, gts = scored
+        out = tmp_path / "odas.json"
+        files = [out, tmp_path / "odas.json.manifest.json"]
+        base = ["eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0, "--out", out]
+        self.check_sequence(
+            [(base, files), (base + ["--offsets-seconds", "5"], files), (base, files)]
+        )
+
+    def test_train_two_videos_then_one(self, tmp_path):
+        pairs = []
+        for seed in (1, 2):
+            feats, insts = tmp_path / f"x{seed}.aswf", tmp_path / f"x{seed}.jsonl"
+            assert run("gen", "--length", 200, "--seed", seed, "--feature-dim", 4,
+                       "--out-features", feats, "--out-instances", insts) == 0
+            pairs.append(["--video", feats, insts])
+        ckpt = tmp_path / "model.aswp"
+        files = [ckpt, tmp_path / "model.aswp.manifest.json"]
+        base = ["train", "--epochs", 1, "--hidden-dim", 4, "--bptt-len", 32,
+                "--out-checkpoint", ckpt]
+        self.check_sequence(
+            [(base + pairs[0] + pairs[1], files), (base + pairs[1], files)]
+        )

@@ -134,3 +134,67 @@ def test_instances_reject_non_object_records(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(DomainError):
         read_instances(path)
+
+
+GOOD_LINE = json.dumps(
+    {"video_id": "v", "start": 3, "end": 9, "class_id": 1, "score": 0.5,
+     "truncated": False}
+)
+
+
+@pytest.mark.parametrize(
+    "bad, line_no",
+    [
+        (GOOD_LINE + " " + GOOD_LINE, 2),  # two JSON values on one line
+        (GOOD_LINE + " xyz", 2),  # a record followed by trailing garbage
+        (GOOD_LINE + ",", 2),
+        ('{"video_id": "v", "start": 3}', 4),  # a bad record after good ones
+        ('{"video_id": "v", "start": 9, "end": 3}', 4),  # inverted interval
+        ("{not json}", 4),  # bad JSON after good ones
+    ],
+)
+def test_instances_errors_name_their_line(tmp_path, bad, line_no):
+    path = tmp_path / "bad.jsonl"
+    good = [GOOD_LINE] * (line_no - 1)
+    path.write_text("\n".join(good + [bad, GOOD_LINE]) + "\n")
+    with pytest.raises(DomainError) as info:
+        read_instances(path)
+    assert f"{path}:{line_no}: " in str(info.value)
+
+
+def test_instances_skip_whitespace_only_lines(tmp_path):
+    path = tmp_path / "inst.jsonl"
+    path.write_text(f"\n   \n{GOOD_LINE}\n\t \n  {GOOD_LINE}  \n\n")
+    back = read_instances(path)
+    assert [i.span for i in back["v"]] == [(3, 9), (3, 9)]
+
+
+def test_instances_round_trip_every_field(tmp_path):
+    # ActionInterval equality ignores class_id, score and truncated, so
+    # those are compared field by field.
+    rng = np.random.default_rng(3)
+    videos = {}
+    for video_id in ("a", "b", "c"):
+        starts = rng.integers(0, 1000, size=40)
+        videos[video_id] = [
+            ActionInterval(
+                int(s),
+                int(s + rng.integers(0, 50)),
+                class_id=None if rng.uniform() < 0.3 else int(rng.integers(0, 5)),
+                score=None if rng.uniform() < 0.3 else float(rng.uniform()),
+                truncated=bool(rng.uniform() < 0.5),
+            )
+            for s in starts
+        ]
+    path = tmp_path / "inst.jsonl"
+    write_instances(path, videos)
+    back = read_instances(path)
+    assert set(back) == set(videos)
+    for video_id, insts in videos.items():
+        want = sorted(insts, key=lambda a: a.span)
+        assert [_fields(a) for a in back[video_id]] == [_fields(a) for a in want]
+
+
+def _fields(inst):
+    return (inst.start_frame, inst.end_frame, inst.class_id, inst.score,
+            inst.truncated)

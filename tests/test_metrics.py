@@ -542,6 +542,26 @@ class TestRankedMatcher:
         assert interval_map(preds, gts, [0.3]).average_map == 0.5
         assert point_map(preds, gts, [5]).mean == 1.0
 
+    def test_taken_best_and_next_candidate_below_the_floor(self):
+        # Both predictions best fit the first ground truth; the first takes
+        # it.  The second's next candidate, the other ground truth, has IoU
+        # 0.25 (start distance 5): a hit at the lower floor, a miss at the
+        # higher one, where nothing open is left to take.
+        gts = {"v": [iv(0, 9, class_id=0), iv(5, 19, class_id=0)]}
+        preds = {
+            "v": [
+                iv(0, 9, class_id=0, score=0.9),
+                iv(0, 9, class_id=0, score=0.8),
+            ]
+        }
+        got = interval_map(preds, gts, [0.2, 0.3])
+        want = reference_interval_map(preds, gts, [0.2, 0.3])
+        assert got.map_per_threshold == want["map"] == {0.2: 1.0, 0.3: 0.5}
+        assert got.per_class_ap == want["per_class_ap"]
+        got = point_map(preds, gts, [4, 6])
+        assert (got.per_offset, got.mean) == reference_point_map(preds, gts, [4, 6])
+        assert got.per_offset == {4: 0.5, 6: 1.0}
+
     def test_average_precision_equals_envelope_loop(self):
         rng = np.random.default_rng(15)
         for _ in range(200):

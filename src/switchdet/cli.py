@@ -1,9 +1,10 @@
 """Command-line pipelines: generate, encode, decode, train, infer, evaluate, sweep.
 
-Every run writes a manifest JSON next to its primary output recording the
-command, resolved configuration, seed and paths; reruns with an identical
-manifest produce byte-identical outputs.  Exit codes: 0 success, 1 usage
-error, 2 data error.  Log verbosity via the ASW_LOG environment variable.
+Each ``cmd_*`` writes its outputs and returns its resolved configuration;
+``main`` then writes a manifest JSON next to the first output recording the
+command, configuration, seed and the file flags (``type=_In`` or ``_Out``).
+Reruns with an identical manifest produce byte-identical outputs.  Exit codes:
+0 success, 1 usage error, 2 data error.  Log verbosity via ASW_LOG.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .exceptions import DomainError, SwitchDetError
@@ -37,7 +37,6 @@ from .switchboard import (
 )
 from .synthgen import SynthConfig, generate_stream, read_features, write_features
 from .trainer import (
-    SweepRow,
     TrainConfig,
     infer_instances,
     rows_to_csv,
@@ -48,18 +47,36 @@ from .trainer import (
 log = logging.getLogger("switchdet")
 
 
-def _write_manifest(primary_out, command: str, config: dict,
-                    inputs: list, outputs: list, seed=None) -> None:
-    manifest = {
-        "command": command,
+class _In(str):
+    """``type=`` of a flag that names an input file."""
+
+
+class _Out(str):
+    """``type=`` of a flag that names an output file."""
+
+
+def _paths(value, kind) -> list[str]:
+    """The paths of type ``kind`` in a flag value or a list of them, in order."""
+    if isinstance(value, kind):
+        return [str(value)]
+    if isinstance(value, list):
+        return [p for v in value for p in _paths(v, kind)]
+    return []
+
+
+def _write_manifest(args, config: dict) -> None:
+    # Namespace attributes follow the order the flags were added in; an unset
+    # optional output is None and is skipped, and --video pairs are flattened.
+    values = list(vars(args).values())
+    outputs = _paths(values, _Out)
+    _write_report(outputs[0] + ".manifest.json", {
+        "command": args.command,
         "config": config,
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "seed": getattr(args, "seed", None),
+        "inputs": _paths(values, _In),
+        "outputs": outputs,
         "version": __version__,
-    }
-    path = Path(str(primary_out) + ".manifest.json")
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    })
 
 
 def _write_report(path, obj: dict) -> None:
@@ -74,30 +91,25 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def cmd_gen(args) -> int:
-    cfg = SynthConfig(
-        length=args.length,
-        arrival_rate=args.arrival_rate,
-        duration_min=args.duration_min,
-        duration_max=args.duration_max,
-        max_concurrent=args.max_concurrent,
-        num_classes=args.num_classes,
-        feature_dim=args.feature_dim,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        signature_seed=args.signature_seed,
-        allow_overflow=args.allow_overflow,
-    )
+def _fps(text: str) -> float:
+    fps = float(text)
+    if not 0 < fps < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return fps
+
+
+def _config(cls, args):
+    """A ``cls`` dataclass built from the flags named like its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
+def cmd_gen(args) -> dict:
+    cfg = _config(SynthConfig, args)
     features, instances = generate_stream(cfg)
     write_features(args.out_features, features)
     write_instances(args.out_instances, {args.video_id: instances})
-    _write_manifest(
-        args.out_features, "gen", vars(cfg) | {"video_id": args.video_id},
-        inputs=[], outputs=[args.out_features, args.out_instances],
-        seed=args.seed,
-    )
     log.info("generated %d frames, %d instances", cfg.length, len(instances))
-    return 0
+    return vars(cfg) | {"video_id": args.video_id}
 
 
 def _read_one_video(path, video_id=None) -> tuple[str | None, list]:
@@ -119,36 +131,29 @@ def _read_one_video(path, video_id=None) -> tuple[str | None, list]:
     return video_id, videos[video_id]
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> dict:
     video_id, instances = _read_one_video(args.instances, args.video_id)
     video_id = video_id or "video"
     config = SwitchConfig(args.num_switches)
     labels, report = encode_instances(instances, args.length, config, args.policy)
     write_state_sequence(args.out, video_id, config, labels)
-    report_obj = {
-        "num_dropped": len(report.dropped_instances),
-        "dropped": [
-            {"start": i.start_frame, "end": i.end_frame}
-            for i in report.dropped_instances
-        ],
-        "switch_assignment": {
-            str(k): v for k, v in sorted(report.switch_assignment.items())
-        },
-        "merged_instances": report.merged_instances,
-    }
     if args.report:
-        _write_report(args.report, report_obj)
-    outputs = [args.out] + ([args.report] if args.report else [])
-    _write_manifest(
-        args.out, "encode",
-        {"length": args.length, "num_switches": args.num_switches,
-         "policy": args.policy, "video_id": video_id},
-        inputs=[args.instances], outputs=outputs,
-    )
-    return 0
+        _write_report(args.report, {
+            "num_dropped": len(report.dropped_instances),
+            "dropped": [
+                {"start": i.start_frame, "end": i.end_frame}
+                for i in report.dropped_instances
+            ],
+            "switch_assignment": {
+                str(k): v for k, v in sorted(report.switch_assignment.items())
+            },
+            "merged_instances": report.merged_instances,
+        })
+    return {"length": args.length, "num_switches": args.num_switches,
+            "policy": args.policy, "video_id": video_id}
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> dict:
     video_id, config, labels = read_state_sequence(args.states)
     if args.num_switches is not None and args.num_switches != config.num_switches:
         config = SwitchConfig(args.num_switches)
@@ -157,114 +162,58 @@ def cmd_decode(args) -> int:
     else:
         instances = decode_sequence(labels, config)
     write_instances(args.out, {video_id: instances})
-    _write_manifest(
-        args.out, "decode",
-        {"num_switches": config.num_switches, "streaming": args.streaming},
-        inputs=[args.states], outputs=[args.out],
-    )
-    return 0
+    return {"num_switches": config.num_switches, "streaming": args.streaming}
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        alpha=args.alpha,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        bptt_len=args.bptt_len,
-        seed=args.seed,
-        num_switches=args.num_switches,
-        hidden_dim=args.hidden_dim,
-    )
-
-
-def _load_dataset(video_pairs) -> list:
-    dataset = []
-    for feat_path, inst_path in video_pairs:
-        feats = read_features(feat_path)
-        _, insts = _read_one_video(inst_path)
-        dataset.append((feats, insts))
-    return dataset
-
-
-def cmd_train(args) -> int:
-    config = _train_config(args)
-    dataset = _load_dataset(args.video)
+def cmd_train(args) -> dict:
+    config = _config(TrainConfig, args)
+    dataset = [(read_features(feats), _read_one_video(insts)[1])
+               for feats, insts in args.video]
     params, history = train(dataset, config)
     save_checkpoint(args.out_checkpoint, params)
     if args.out_history:
         with open(args.out_history, "w") as fh:
             for stats in history:
                 fh.write(json.dumps(stats.to_json(), sort_keys=True) + "\n")
-    outputs = [args.out_checkpoint] + (
-        [args.out_history] if args.out_history else []
-    )
-    _write_manifest(
-        args.out_checkpoint, "train", vars(config).copy(),
-        inputs=[p for pair in args.video for p in pair],
-        outputs=outputs, seed=args.seed,
-    )
-    return 0
+    return vars(config)
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> dict:
     params = load_checkpoint(args.checkpoint)
     features = read_features(args.features)
     config = SwitchConfig(args.num_switches)
     instances = infer_instances(params, features, config)
     write_instances(args.out, {args.video_id: instances})
-    _write_manifest(
-        args.out, "infer",
-        {"num_switches": args.num_switches, "video_id": args.video_id},
-        inputs=[args.checkpoint, args.features], outputs=[args.out],
-    )
-    return 0
+    return {"num_switches": args.num_switches, "video_id": args.video_id}
 
 
-def cmd_eval_f1(args) -> int:
+def cmd_eval_f1(args) -> dict:
     preds = read_instances(args.preds)
     gts = read_instances(args.gts)
     report = f1_at_tiou(preds, gts, args.tiou)
     _write_report(args.out, report.to_json() | {"tiou": args.tiou})
-    _write_manifest(
-        args.out, "eval-f1", {"tiou": args.tiou},
-        inputs=[args.preds, args.gts], outputs=[args.out],
-    )
-    return 0
+    return {"tiou": args.tiou}
 
 
-def cmd_eval_map(args) -> int:
+def cmd_eval_map(args) -> dict:
     preds = read_instances(args.preds)
     gts = read_instances(args.gts)
-    thresholds = _floats(args.tious)
-    report = interval_map(preds, gts, thresholds)
+    report = interval_map(preds, gts, args.tious)
     _write_report(args.out, report.to_json())
-    _write_manifest(
-        args.out, "eval-map", {"tious": thresholds},
-        inputs=[args.preds, args.gts], outputs=[args.out],
-    )
-    return 0
+    return {"tious": args.tious}
 
 
-def cmd_eval_odas(args) -> int:
+def cmd_eval_odas(args) -> dict:
     preds = read_instances(args.preds)
     gts = read_instances(args.gts)
-    seconds = _floats(args.offsets_seconds)
-    offsets = [max(1, round(s * args.fps)) for s in seconds]
+    offsets = [max(1, round(s * args.fps)) for s in args.offsets_seconds]
     report = point_map(preds, gts, offsets)
-    _write_report(
-        args.out,
-        report.to_json() | {"fps": args.fps, "offsets_seconds": seconds},
-    )
-    _write_manifest(
-        args.out, "eval-odas",
-        {"fps": args.fps, "offsets_seconds": seconds, "offsets_frames": offsets},
-        inputs=[args.preds, args.gts], outputs=[args.out],
-    )
-    return 0
+    config = {"fps": args.fps, "offsets_seconds": args.offsets_seconds}
+    _write_report(args.out, report.to_json() | config)
+    return config | {"offsets_frames": offsets}
 
 
-def cmd_sweep(args) -> int:
-    base = _train_config(args)
+def cmd_sweep(args) -> dict:
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
     synth = dict(
         arrival_rate=args.arrival_rate,
@@ -276,38 +225,26 @@ def cmd_sweep(args) -> int:
         noise_sigma=args.noise_sigma,
         signature_seed=args.seed * 1000 + 1,  # shared across train and eval
     )
-    # Data seeds are a fixed function of the base seed so reruns reproduce.
-    train_set = [
-        generate_stream(
-            SynthConfig(length=args.length, seed=args.seed * 1000 + 101 + i, **synth)
-        )
-        for i in range(args.train_videos)
-    ]
-    eval_set = [
-        generate_stream(
-            SynthConfig(length=args.eval_length, seed=args.seed * 1000 + 501 + i, **synth)
-        )
-        for i in range(args.eval_videos)
-    ]
+
+    def streams(length, first_seed, count):
+        # Data seeds are a fixed function of the base seed so reruns reproduce.
+        return [generate_stream(SynthConfig(length=length, seed=seed, **synth))
+                for seed in range(first_seed, first_seed + count)]
+
     rows = sweep_alpha(
-        train_set,
-        eval_set,
-        alphas=_floats(args.alphas),
-        switch_counts=_ints(args.switches),
-        base=base,
+        streams(args.length, args.seed * 1000 + 101, args.train_videos),
+        streams(args.eval_length, args.seed * 1000 + 501, args.eval_videos),
+        alphas=args.alphas,
+        switch_counts=args.switches,
+        base=_config(TrainConfig, args),
         seeds=seeds,
         tiou_threshold=args.tiou,
         jobs=args.jobs,
     )
     Path(args.out).write_text(rows_to_csv(rows))
-    _write_manifest(
-        args.out, "sweep",
-        {"alphas": _floats(args.alphas), "switches": _ints(args.switches),
-         "seeds": list(seeds), "tiou": args.tiou, "length": args.length,
-         "eval_length": args.eval_length, **synth},
-        inputs=[], outputs=[args.out], seed=args.seed,
-    )
-    return 0
+    return {"alphas": args.alphas, "switches": args.switches,
+            "seeds": list(seeds), "tiou": args.tiou, "length": args.length,
+            "eval_length": args.eval_length, **synth}
 
 
 def _add_synth_flags(p, length_default=20000):
@@ -339,78 +276,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic stream")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def evaluation(name, func, help):
+        p = command(name, func, help)
+        p.add_argument("--preds", type=_In, required=True)
+        p.add_argument("--gts", type=_In, required=True)
+        p.add_argument("--out", type=_Out, required=True)
+        return p
+
+    p = command("gen", cmd_gen, "generate a synthetic stream")
     _add_synth_flags(p)
     p.add_argument("--allow-overflow", action="store_true")
     p.add_argument("--signature-seed", type=int, default=None,
                    help="share class signatures across streams")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--video-id", default="synth")
-    p.add_argument("--out-features", required=True)
-    p.add_argument("--out-instances", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.add_argument("--out-features", type=_Out, required=True)
+    p.add_argument("--out-instances", type=_Out, required=True)
 
-    p = sub.add_parser("encode", help="encode instances into state labels")
-    p.add_argument("--instances", required=True)
+    p = command("encode", cmd_encode, "encode instances into state labels")
+    p.add_argument("--instances", type=_In, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--num-switches", type=int, required=True)
     p.add_argument("--policy", choices=["drop-newest", "strict"],
                    default="drop-newest")
     p.add_argument("--video-id", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_encode)
+    p.add_argument("--out", type=_Out, required=True)
+    p.add_argument("--report", type=_Out, default=None)
 
-    p = sub.add_parser("decode", help="decode state labels into instances")
-    p.add_argument("--states", required=True)
+    p = command("decode", cmd_decode, "decode state labels into instances")
+    p.add_argument("--states", type=_In, required=True)
     p.add_argument("--num-switches", type=int, default=None)
     p.add_argument("--streaming", action="store_true",
                    help="process frame by frame (output must match batch)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decode)
+    p.add_argument("--out", type=_Out, required=True)
 
-    p = sub.add_parser("train", help="train the per-frame state scorer")
-    p.add_argument("--video", nargs=2, metavar=("FEATURES", "INSTANCES"),
+    p = command("train", cmd_train, "train the per-frame state scorer")
+    p.add_argument("--video", type=_In, nargs=2, metavar=("FEATURES", "INSTANCES"),
                    action="append", required=True)
     _add_train_flags(p)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--out-history", default=None)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--out-checkpoint", type=_Out, required=True)
+    p.add_argument("--out-history", type=_Out, default=None)
 
-    p = sub.add_parser("infer", help="run a checkpoint over a feature stream")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", required=True)
+    p = command("infer", cmd_infer, "run a checkpoint over a feature stream")
+    p.add_argument("--checkpoint", type=_In, required=True)
+    p.add_argument("--features", type=_In, required=True)
     p.add_argument("--num-switches", type=int, required=True)
     p.add_argument("--video-id", default="video")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_infer)
+    p.add_argument("--out", type=_Out, required=True)
 
-    p = sub.add_parser("eval-f1", help="matched F1 at one tIoU threshold")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--gts", required=True)
+    p = evaluation("eval-f1", cmd_eval_f1, "matched F1 at one tIoU threshold")
     p.add_argument("--tiou", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_f1)
 
-    p = sub.add_parser("eval-map", help="classwise interval mAP")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--gts", required=True)
-    p.add_argument("--tious", default="0.3,0.4,0.5,0.6,0.7")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_map)
+    p = evaluation("eval-map", cmd_eval_map, "classwise interval mAP")
+    p.add_argument("--tious", type=_floats, default="0.3,0.4,0.5,0.6,0.7")
 
-    p = sub.add_parser("eval-odas", help="point-level AP of action starts")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--gts", required=True)
-    p.add_argument("--fps", type=float, required=True,
+    p = evaluation("eval-odas", cmd_eval_odas, "point-level AP of action starts")
+    p.add_argument("--fps", type=_fps, required=True,
                    help="frames per second, converts second offsets to frames")
-    p.add_argument("--offsets-seconds", default="1,2,3")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_odas)
+    p.add_argument("--offsets-seconds", type=_floats, default="1,2,3")
 
-    p = sub.add_parser("sweep", help="alpha / switch-count ablation sweep")
-    p.add_argument("--alphas", default="0,0.01,0.025,0.05")
-    p.add_argument("--switches", default="1,2")
+    p = command("sweep", cmd_sweep, "alpha / switch-count ablation sweep")
+    p.add_argument("--alphas", type=_floats, default="0,0.01,0.025,0.05")
+    p.add_argument("--switches", type=_ints, default="1,2")
     _add_train_flags(p)
     _add_synth_flags(p, length_default=8000)
     p.add_argument("--eval-length", type=int, default=4000)
@@ -419,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-seeds", type=int, default=3)
     p.add_argument("--tiou", type=float, default=0.5)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--out", type=_Out, required=True)
     return parser
 
 
@@ -438,10 +369,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args))
     except (SwitchDetError, OSError) as exc:
         print(f"switchdet: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

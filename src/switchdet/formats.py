@@ -114,13 +114,29 @@ def write_state_sequence(path, video_id: str, config: SwitchConfig, labels) -> N
 
 
 def read_state_sequence(path) -> tuple[str, SwitchConfig, np.ndarray]:
+    """Parse a state-sequence file; as for instance records, nothing is coerced.
+
+    A numeric video id, a float or bool switch count (2.7, true), or labels
+    that are not a flat list of integers (1.9, true, nested lists) are a
+    DomainError.
+    """
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        video_id = obj["video_id"]
-        config = SwitchConfig(int(obj["num_switches"]))
-        labels = np.asarray(obj["labels"], dtype=np.int64)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        video_id, num_switches, labels = obj["video_id"], obj["num_switches"], obj["labels"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad state-sequence file {path}: {exc}") from exc
-    if labels.size and (labels.min() < 0 or labels.max() >= config.num_states):
+    if type(video_id) is not str:
+        problem = "video_id must be a string"
+    elif type(num_switches) is not int:
+        problem = "num_switches must be an integer"
+    elif type(labels) is not list or not set(map(type, labels)) <= {int}:
+        problem = "labels must be a flat list of integers"
+    else:
+        problem = None
+    if problem:
+        raise DomainError(f"bad state-sequence file {path}: {problem}")
+    config = SwitchConfig(num_switches)
+    # Checked before the int64 conversion, which a huge label would overflow.
+    if labels and (min(labels) < 0 or max(labels) >= config.num_states):
         raise DomainError(f"{path}: label out of range for config")
-    return video_id, config, labels
+    return video_id, config, np.asarray(labels, dtype=np.int64)

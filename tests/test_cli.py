@@ -405,6 +405,17 @@ class TestParserReuse:
             [(base, files), (base + ["--offsets-seconds", "5"], files), (base, files)]
         )
 
+    def test_encode_report_then_none(self, tmp_path):
+        inst, states, report = (tmp_path / n for n in ("i.jsonl", "s.json", "r.json"))
+        write_instances(inst, {"v": [ActionInterval(1, 4), ActionInterval(3, 7)]})
+        manifest = tmp_path / "s.json.manifest.json"
+        base = ["encode", "--instances", inst, "--length", 9, "--num-switches", 2,
+                "--out", states]
+        self.check_sequence(
+            [(base + ["--report", report], [states, report, manifest]),
+             (base, [states, manifest])]
+        )
+
     def test_train_two_videos_then_one(self, tmp_path):
         pairs = []
         for seed in (1, 2):
@@ -419,3 +430,166 @@ class TestParserReuse:
         self.check_sequence(
             [(base + pairs[0] + pairs[1], files), (base + pairs[1], files)]
         )
+
+
+@pytest.fixture
+def one_scored(tmp_path):
+    """(predictions, ground truth): one scored, classed interval that matches."""
+    gts, preds = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+    write_instances(gts, {"v": [ActionInterval(10, 40, class_id=1)]})
+    write_instances(preds, {"v": [ActionInterval(10, 40, class_id=1, score=0.9)]})
+    return preds, gts
+
+
+class TestManifests:
+    """Every subcommand's manifest: command, seed, file flags and config.
+
+    Inputs and outputs list exactly the file flags given, in flag order,
+    with the primary output first; the manifest sits next to that output.
+    """
+
+    @staticmethod
+    def check(primary, command, seed, inputs, outputs, config):
+        manifest = json.loads(
+            primary.with_name(primary.name + ".manifest.json").read_text()
+        )
+        assert manifest == {
+            "command": command,
+            "seed": seed,
+            "inputs": [str(p) for p in inputs],
+            "outputs": [str(p) for p in outputs],
+            "config": config,
+            "version": cli.__version__,
+        }
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        feats, gts = tmp_path / "x.aswf", tmp_path / "gt.jsonl"
+        assert run("gen", "--length", 300, "--arrival-rate", 0.03, "--seed", 5,
+                   "--feature-dim", 4, "--out-features", feats,
+                   "--out-instances", gts) == 0
+        return feats, gts
+
+    def test_gen(self, stream):
+        feats, gts = stream
+        self.check(feats, "gen", 5, [], [feats, gts], {
+            "length": 300, "arrival_rate": 0.03, "duration_min": 20,
+            "duration_max": 60, "max_concurrent": 2, "num_classes": 4,
+            "feature_dim": 4, "noise_sigma": 0.25, "seed": 5,
+            "signature_seed": None, "allow_overflow": False, "video_id": "synth",
+        })
+
+    @pytest.mark.parametrize("with_report", [True, False])
+    def test_encode(self, tmp_path, with_report):
+        inst, states, report = (tmp_path / n for n in ("i.jsonl", "s.json", "r.json"))
+        write_instances(inst, {"v": [ActionInterval(1, 4)]})
+        flag = ["--report", report] if with_report else []
+        assert run("encode", "--instances", inst, "--length", 9,
+                   "--num-switches", 2, "--out", states, *flag) == 0
+        outputs = [states, report] if with_report else [states]
+        self.check(states, "encode", None, [inst], outputs, {
+            "length": 9, "num_switches": 2, "policy": "drop-newest", "video_id": "v",
+        })
+        assert report.exists() == with_report
+
+    def test_decode(self, tmp_path):
+        states, batch, stream = (tmp_path / n for n in ("s.json", "b.jsonl", "t.jsonl"))
+        write_state_sequence(states, "v", SwitchConfig(2), [0, 1, 3, 0])
+        assert run("decode", "--states", states, "--out", batch) == 0
+        self.check(batch, "decode", None, [states], [batch],
+                   {"num_switches": 2, "streaming": False})
+        assert run("decode", "--states", states, "--streaming",
+                   "--num-switches", 3, "--out", stream) == 0
+        self.check(stream, "decode", None, [states], [stream],
+                   {"num_switches": 3, "streaming": True})
+
+    @pytest.mark.parametrize("with_history", [True, False])
+    def test_train_and_infer(self, stream, tmp_path, with_history):
+        feats, gts = stream
+        feats2, gts2 = tmp_path / "x2.aswf", tmp_path / "gt2.jsonl"
+        feats2.write_bytes(feats.read_bytes())
+        gts2.write_bytes(gts.read_bytes())
+        ckpt, history, preds = (tmp_path / n for n in ("m.aswp", "h.jsonl", "p.jsonl"))
+        flag = ["--out-history", history] if with_history else []
+        assert run("train", "--video", feats, gts, "--video", feats2, gts2,
+                   "--epochs", 1, "--hidden-dim", 4, "--bptt-len", 32,
+                   "--seed", 3, "--out-checkpoint", ckpt, *flag) == 0
+        outputs = [ckpt, history] if with_history else [ckpt]
+        self.check(ckpt, "train", 3, [feats, gts, feats2, gts2], outputs, {
+            "alpha": 0.0, "learning_rate": 1e-3, "epochs": 1, "bptt_len": 32,
+            "seed": 3, "num_switches": 2, "hidden_dim": 4,
+        })
+        assert history.exists() == with_history
+        assert run("infer", "--checkpoint", ckpt, "--features", feats,
+                   "--num-switches", 2, "--out", preds) == 0
+        self.check(preds, "infer", None, [ckpt, feats], [preds],
+                   {"num_switches": 2, "video_id": "video"})
+
+    def test_eval(self, one_scored, tmp_path):
+        preds, gts = one_scored
+        f1, mean_ap, odas = (tmp_path / n for n in ("f1.json", "map.json", "odas.json"))
+        assert run("eval-f1", "--preds", preds, "--gts", gts, "--out", f1) == 0
+        self.check(f1, "eval-f1", None, [preds, gts], [f1], {"tiou": 0.5})
+        assert run("eval-map", "--preds", preds, "--gts", gts, "--out", mean_ap) == 0
+        self.check(mean_ap, "eval-map", None, [preds, gts], [mean_ap],
+                   {"tious": [0.3, 0.4, 0.5, 0.6, 0.7]})
+        assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
+                   "--offsets-seconds", "1,2.5", "--out", odas) == 0
+        self.check(odas, "eval-odas", None, [preds, gts], [odas], {
+            "fps": 2.0, "offsets_seconds": [1.0, 2.5], "offsets_frames": [2, 5],
+        })
+
+    def test_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--alphas", "0", "--switches", "1", "--length", 300,
+                   "--eval-length", 200, "--epochs", 1, "--hidden-dim", 4,
+                   "--num-seeds", 1, "--seed", 7, "--out", out) == 0
+        self.check(out, "sweep", 7, [], [out], {
+            "alphas": [0.0], "switches": [1], "seeds": [7], "tiou": 0.5,
+            "length": 300, "eval_length": 200, "arrival_rate": 0.02,
+            "duration_min": 20, "duration_max": 60, "max_concurrent": 2,
+            "num_classes": 4, "feature_dim": 16, "noise_sigma": 0.25,
+            "signature_seed": 7001,
+        })
+
+
+class TestUsageErrors:
+    """Bad flag values are usage errors (exit 1) that write nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-map", "--tious", "0.5,abc"],
+        ["eval-odas", "--fps", 2.0, "--offsets-seconds", "x"],
+        ["sweep", "--alphas", "0,zz"],
+        ["sweep", "--switches", "1.5"],
+    ], ids=["tious", "offsets-seconds", "alphas", "switches"])
+    def test_bad_list_element(self, one_scored, tmp_path, argv):
+        preds, gts = one_scored
+        out = tmp_path / "out.json"
+        inputs = [] if argv[0] == "sweep" else ["--preds", preds, "--gts", gts]
+        assert run(*argv, *inputs, "--out", out) == 1
+        assert not out.exists()
+        assert not (tmp_path / "out.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "0", "-2"])
+    def test_eval_odas_fps_finite_and_positive(self, one_scored, tmp_path, fps):
+        preds, gts = one_scored
+        out = tmp_path / "odas.json"
+        assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", fps,
+                   "--out", out) == 1
+        assert not out.exists()
+
+
+class TestStateFileTypes:
+    """decode reads exact JSON types: no coercion, no crash on nested labels."""
+
+    COERCED = {"video_id": 5, "num_switches": 2, "labels": [0, 1.9, True, 3, 0]}
+    NESTED = {"video_id": "v", "num_switches": 2, "labels": [[0, 1], [3, 0]]}
+
+    @pytest.mark.parametrize("obj, streaming", [
+        (COERCED, []), (COERCED, ["--streaming"]), (NESTED, ["--streaming"]),
+    ], ids=["coerced-batch", "coerced-streaming", "nested-streaming"])
+    def test_decode_exits_2(self, tmp_path, obj, streaming):
+        states, out = tmp_path / "s.json", tmp_path / "out.jsonl"
+        states.write_text(json.dumps(obj))
+        assert run("decode", "--states", states, *streaming, "--out", out) == 2
+        assert not out.exists()

@@ -83,6 +83,30 @@ def test_state_sequence_rejects_malformed(tmp_path):
         read_state_sequence(path)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"video_id": 5},
+        {"video_id": None},
+        {"num_switches": 2.7},
+        {"num_switches": 2.0},
+        {"num_switches": True, "labels": [0, 1, 0]},
+        {"num_switches": "2"},
+        {"labels": [0, 1.9, 3, 0]},
+        {"labels": [0, True, 3, 0]},
+        {"labels": [0, "1", 3, 0]},
+        {"labels": [[0, 1], [3, 0]]},
+        {"labels": 3},
+    ],
+)
+def test_state_sequence_rejects_wrong_json_types(tmp_path, fields):
+    path = tmp_path / "states.json"
+    obj = {"video_id": "v", "num_switches": 2, "labels": [0, 1, 3, 0]}
+    path.write_text(json.dumps(obj | fields))
+    with pytest.raises(DomainError):
+        read_state_sequence(path)
+
+
 def _read_one(tmp_path, **fields):
     rec = {"video_id": "v", "start": 3, "end": 9, "class_id": 1,
            "score": 0.5, "truncated": False}

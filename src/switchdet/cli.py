@@ -91,11 +91,15 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _fps(text: str) -> float:
-    fps = float(text)
-    if not 0 < fps < math.inf:
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return fps
+    return value
+
+
+def _positives(text: str) -> list[float]:
+    return [_positive(v) for v in text.split(",") if v != ""]
 
 
 def _config(cls, args):
@@ -206,7 +210,12 @@ def cmd_eval_map(args) -> dict:
 def cmd_eval_odas(args) -> dict:
     preds = read_instances(args.preds)
     gts = read_instances(args.gts)
-    offsets = [max(1, round(s * args.fps)) for s in args.offsets_seconds]
+    try:
+        offsets = [max(1, round(s * args.fps)) for s in args.offsets_seconds]
+    except OverflowError:
+        raise DomainError(
+            f"offsets {args.offsets_seconds} s at {args.fps} fps overflow a frame count"
+        ) from None
     report = point_map(preds, gts, offsets)
     config = {"fps": args.fps, "offsets_seconds": args.offsets_seconds}
     _write_report(args.out, report.to_json() | config)
@@ -332,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = evaluation("eval-f1", cmd_eval_f1, "matched F1 at one tIoU threshold")
     p.add_argument("--tiou", type=float, default=0.5)
 
-    p = evaluation("eval-map", cmd_eval_map, "classwise interval mAP")
+    p = evaluation("eval-map", cmd_eval_map, "interval mAP")
     p.add_argument("--tious", type=_floats, default="0.3,0.4,0.5,0.6,0.7")
 
     p = evaluation("eval-odas", cmd_eval_odas, "point-level AP of action starts")
-    p.add_argument("--fps", type=_fps, required=True,
+    p.add_argument("--fps", type=_positive, required=True,
                    help="frames per second, converts second offsets to frames")
-    p.add_argument("--offsets-seconds", type=_floats, default="1,2,3")
+    p.add_argument("--offsets-seconds", type=_positives, default="1,2,3")
 
     p = command("sweep", cmd_sweep, "alpha / switch-count ablation sweep")
     p.add_argument("--alphas", type=_floats, default="0,0.01,0.025,0.05")

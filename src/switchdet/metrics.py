@@ -4,8 +4,10 @@ Class-agnostic detection quality is scored with an F1 built on optimal
 bipartite matching: per video, predictions are matched to ground truth by
 temporal IoU via a minimum-cost assignment, matched pairs above the IoU
 threshold count as true positives, and counts are micro-aggregated across
-videos.  Class-aware quality uses standard score-ranked average precision
-over intervals; start detection uses point-level AP within a frame offset.
+videos.  Ranked quality uses standard score-ranked average precision over
+intervals; start detection uses point-level AP within a frame offset.  Both
+are classwise when every interval has a class and pooled (class-agnostic)
+when either side has none.
 
 Overlaps are computed a whole matrix at a time.  Intervals that share no
 frame have IoU 0, so the optimal matching is solved separately on each group
@@ -15,7 +17,7 @@ sizes, not with predictions x ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,14 +108,7 @@ class MatchReport:
     f1: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "num_pred": self.num_pred,
-            "num_gt": self.num_gt,
-        }
+        return asdict(self)
 
 
 def f1_at_tiou(
@@ -177,22 +172,6 @@ def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
     return float(np.sum((mrec[idx] - mrec[idx - 1]) * mprec[idx]))
 
 
-def _ranked_preds(
-    preds: Mapping[str, Sequence[ActionInterval]], require_class: bool
-) -> list[tuple[str, ActionInterval]]:
-    flat = []
-    for video_id in sorted(preds):
-        for p in preds[video_id]:
-            if p.score is None:
-                raise DomainError(f"prediction without score in video {video_id}")
-            if require_class and p.class_id is None:
-                raise DomainError(f"prediction without class_id in video {video_id}")
-            flat.append((video_id, p))
-    # Score descending; earlier start, then (video, index) order: the sort is stable.
-    flat.sort(key=lambda rec: (-rec[1].score, rec[1].start_frame))
-    return flat
-
-
 def _ranked_flags(ranked, gts, gain, floors) -> np.ndarray:
     """Greedy hit flags of score-ranked predictions, one row per floor.
 
@@ -252,9 +231,52 @@ def _start_gain(pred_spans: np.ndarray, gt_spans: np.ndarray) -> np.ndarray:
     return -dist.astype(np.float64)
 
 
+def _ap_per_class(preds, gts, gain, floors):
+    """Score-ranked AP of every class that has ground truth, at each floor.
+
+    Returns {floor: {class: AP}}, {floor: mean over those classes, 0.0 when
+    there are none} and the mean over floors.  Classwise when every interval
+    carries a class_id; one pooled class, ``None``, when either side carries
+    none; a side that mixes the two is rejected.
+    """
+    _check_shared_videos(preds, gts)
+    pooled = False
+    for side, videos in (("predictions", preds), ("ground truth", gts)):
+        has_class = {iv.class_id is not None for vs in videos.values() for iv in vs}
+        if len(has_class) > 1:
+            raise DomainError(f"{side} mix intervals with and without class_id")
+        pooled |= has_class == {False}
+    ranked = []
+    for video_id in sorted(preds):
+        for p in preds[video_id]:
+            if p.score is None:
+                raise DomainError(f"prediction without score in video {video_id}")
+            ranked.append((video_id, p))
+    # Score descending; earlier start, then (video, index) order: the sort is stable.
+    ranked.sort(key=lambda rec: (-rec[1].score, rec[1].start_frame))
+    gt_by_class: dict = {}
+    for video_id, vg in gts.items():
+        for g in vg:
+            c = None if pooled else g.class_id
+            gt_by_class.setdefault(c, {}).setdefault(video_id, []).append(g)
+    per_class: dict = {floor: {} for floor in floors}
+    for c in sorted(gt_by_class):
+        class_gts = gt_by_class[c]
+        num_gt = sum(len(v) for v in class_gts.values())
+        class_ranked = [(vid, p) for vid, p in ranked if pooled or p.class_id == c]
+        flags = _ranked_flags(class_ranked, class_gts, gain, list(per_class))
+        for by_class, hits in zip(per_class.values(), flags):
+            by_class[c] = average_precision(hits, num_gt)
+    means = {
+        floor: float(np.mean(list(by_class.values()))) if by_class else 0.0
+        for floor, by_class in per_class.items()
+    }
+    return per_class, means, float(np.mean(list(means.values())))
+
+
 @dataclass
 class APReport:
-    per_class_ap: dict[float, dict[int, float]]  # threshold -> class -> AP
+    per_class_ap: dict[float, dict[int | None, float]]  # threshold -> class -> AP
     map_per_threshold: dict[float, float]
     average_map: float
 
@@ -263,7 +285,10 @@ class APReport:
             "map": {str(t): v for t, v in self.map_per_threshold.items()},
             "average_map": self.average_map,
             "per_class_ap": {
-                str(t): {str(c): v for c, v in by_class.items()}
+                # The pooled class None is written as a classless record's "null".
+                str(t): {
+                    "null" if c is None else str(c): v for c, v in by_class.items()
+                }
                 for t, by_class in self.per_class_ap.items()
             },
         }
@@ -274,40 +299,18 @@ def interval_map(
     gts: Mapping[str, Sequence[ActionInterval]],
     thresholds: Sequence[float],
 ) -> APReport:
-    """Classwise score-ranked AP with greedy IoU matching, per threshold.
+    """Score-ranked AP with greedy IoU matching, per threshold.
 
-    Only classes with at least one ground-truth instance enter the mean.
+    Classwise when every interval has a class_id, else one pooled
+    class-agnostic AP under class ``None``; a side that mixes classed and
+    classless intervals is rejected.  Only classes with at least one
+    ground-truth instance enter the mean.
     """
     if not thresholds:
         raise DomainError("no IoU thresholds given")
     if not all(0.0 < thr <= 1.0 for thr in thresholds):
         raise DomainError(f"IoU thresholds must be in (0, 1], got {list(thresholds)}")
-    for video_id, vg in gts.items():
-        for g in vg:
-            if g.class_id is None:
-                raise DomainError(f"ground truth without class_id in {video_id}")
-    _check_shared_videos(preds, gts)
-    ranked = _ranked_preds(preds, require_class=True)
-    classes = sorted({g.class_id for vg in gts.values() for g in vg})
-    gt_by_class: dict[int, dict[str, list[ActionInterval]]] = {c: {} for c in classes}
-    for video_id in gts:
-        for g in gts[video_id]:
-            gt_by_class[g.class_id].setdefault(video_id, []).append(g)
-
-    per_class_ap: dict[float, dict[int, float]] = {thr: {} for thr in thresholds}
-    for c in classes:
-        class_gts = gt_by_class[c]
-        num_gt = sum(len(v) for v in class_gts.values())
-        class_ranked = [(vid, p) for vid, p in ranked if p.class_id == c]
-        flags = _ranked_flags(class_ranked, class_gts, _iou_gain, thresholds)
-        for thr, hits in zip(thresholds, flags):
-            per_class_ap[thr][c] = average_precision(hits, num_gt)
-    map_per_threshold = {
-        thr: float(np.mean(list(by_class.values()))) if by_class else 0.0
-        for thr, by_class in per_class_ap.items()
-    }
-    average_map = float(np.mean(list(map_per_threshold.values())))
-    return APReport(per_class_ap, map_per_threshold, average_map)
+    return APReport(*_ap_per_class(preds, gts, _iou_gain, thresholds))
 
 
 @dataclass
@@ -330,42 +333,12 @@ def point_map(
     """Average precision of action-start detection within a frame offset.
 
     A ranked prediction is a hit at offset o if an unmatched ground truth
-    (same class when ground truth carries classes) starts within o frames.
-    Classwise mean when every ground truth has a class, one pooled AP when
-    none has; ground truth that mixes the two is rejected.
+    of its class starts within o frames.  Classes follow interval_map's
+    rule: classwise mean when every interval has a class_id, one pooled AP
+    when either side has none, and a side that mixes the two is rejected.
     """
     if not offsets or any(o <= 0 for o in offsets):
         raise DomainError("offsets must be positive")
-    has_class = {g.class_id is not None for vg in gts.values() for g in vg}
-    if len(has_class) > 1:
-        raise DomainError("ground truth mixes intervals with and without class_id")
-    classwise = has_class == {True}
-    _check_shared_videos(preds, gts)
-    ranked = _ranked_preds(preds, require_class=False)
-    classes = (
-        sorted({g.class_id for vg in gts.values() for g in vg})
-        if classwise
-        else [None]
-    )
-
     # A start within `offset` frames is a gain of at least -offset.
-    floors = [-o for o in offsets]
-    aps: list[list[float]] = [[] for _ in offsets]
-    for c in classes:
-        class_gts = {
-            vid: [g for g in vg if not classwise or g.class_id == c]
-            for vid, vg in gts.items()
-        }
-        num_gt = sum(len(v) for v in class_gts.values())
-        if num_gt == 0:
-            continue
-        class_ranked = [
-            (vid, p) for vid, p in ranked if not classwise or p.class_id == c
-        ]
-        flags = _ranked_flags(class_ranked, class_gts, _start_gain, floors)
-        for offset_aps, hits in zip(aps, flags):
-            offset_aps.append(average_precision(hits, num_gt))
-    per_offset = {
-        int(o): float(np.mean(a)) if a else 0.0 for o, a in zip(offsets, aps)
-    }
-    return PointAPReport(per_offset, float(np.mean(list(per_offset.values()))))
+    _, means, mean = _ap_per_class(preds, gts, _start_gain, [-o for o in offsets])
+    return PointAPReport({int(-floor): m for floor, m in means.items()}, mean)

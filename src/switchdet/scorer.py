@@ -64,9 +64,6 @@ class ScorerParams:
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _PARAM_FIELDS]
 
-    def copy(self) -> "ScorerParams":
-        return ScorerParams(*(a.copy() for a in self.arrays()))
-
     def zeros_like(self) -> "ScorerParams":
         return ScorerParams(*(np.zeros_like(a) for a in self.arrays()))
 

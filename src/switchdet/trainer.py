@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,8 +45,12 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise DomainError(f"negative alpha {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.bptt_len < 2:
@@ -65,14 +69,7 @@ class EpochStats:
     num_windows: int
 
     def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "mean_total": self.mean_total,
-            "mean_ce": self.mean_ce,
-            "mean_cons": self.mean_cons,
-            "num_cc_positions": self.num_cc_positions,
-            "num_windows": self.num_windows,
-        }
+        return asdict(self)
 
 
 class Adam:

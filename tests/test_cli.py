@@ -578,6 +578,40 @@ class TestUsageErrors:
                    "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("offsets", ["nan", "inf", "0", "-1", "1,nan"])
+    def test_eval_odas_offsets_finite_and_positive(self, one_scored, tmp_path, offsets):
+        preds, gts = one_scored
+        out = tmp_path / "odas.json"
+        assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
+                   "--offsets-seconds", offsets, "--out", out) == 1
+        assert not out.exists()
+
+    def test_eval_odas_frame_count_overflow_exits_2(self, one_scored, tmp_path, capsys):
+        preds, gts = one_scored
+        out = tmp_path / "odas.json"
+        assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
+                   "--offsets-seconds", "1e308", "--out", out) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_eval_odas_tiny_offset_is_one_frame(one_scored, tmp_path):
+    preds, gts = one_scored
+    out = tmp_path / "odas.json"
+    assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
+               "--offsets-seconds", "0.01", "--out", out) == 0
+    assert json.loads(out.read_text())["p_ap"] == {"1": 1.0}
+
+
+def test_eval_map_pools_classless_ground_truth(tmp_path):
+    gts, preds = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
+    write_instances(gts, {"v": [ActionInterval(10, 40), ActionInterval(50, 60)]})
+    write_instances(preds, {"v": [ActionInterval(10, 40, class_id=1, score=0.9)]})
+    out = tmp_path / "map.json"
+    assert run("eval-map", "--preds", preds, "--gts", gts, "--tious", "0.5",
+               "--out", out) == 0
+    assert json.loads(out.read_text())["per_class_ap"] == {"0.5": {"null": 0.5}}
+
 
 class TestStateFileTypes:
     """decode reads exact JSON types: no coercion, no crash on nested labels."""

@@ -35,6 +35,60 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_names`` and class ``_methods`` that no source loads.
+
+    ``sources`` maps module names to their text; dunder names are exempt.
+    """
+    defined, loaded = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [(module, n) for n in tree.body] + [
+            (f"{module}.{c.name}", n)
+            for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body
+        ]
+        for scope, node in scopes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[f"{scope}.{name}"] = (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{key} (line {line})" for key, (name, line) in sorted(defined.items())
+            if name not in loaded]
+
+
+def test_every_private_name_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_check_sees_unreferenced_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n_LEFT: int = 2\n"
+            "def _helper():\n    return _USED\n"
+            "class C:\n    def __init__(self):\n        self._called()\n"
+            "    def _called(self):\n        pass\n"
+            "    def _orphan(self):\n        pass\n"
+        ),
+        "b": "from a import _helper\n_helper()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.C._orphan (line 10)", "a._LEFT (line 2)",
+    ]
+
+
 def test_check_sees_unused_names():
     source = (
         "from __future__ import annotations\n"

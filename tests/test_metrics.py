@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -196,10 +197,11 @@ class TestIntervalMap:
         with pytest.raises(DomainError):
             interval_map({"v": [iv(0, 9, class_id=0)]}, gts, [0.5])
 
-    def test_requires_classes(self):
+    def test_classless_predictions_score_one_pooled_ap(self):
         gts = {"v": [iv(0, 9, class_id=0)]}
-        with pytest.raises(DomainError):
-            interval_map({"v": [iv(0, 9, score=0.5)]}, gts, [0.5])
+        report = interval_map({"v": [iv(0, 9, score=0.5)]}, gts, [0.5])
+        assert report.per_class_ap == {0.5: {None: 1.0}}
+        assert report.average_map == 1.0
 
     def test_removing_correct_prediction_never_raises_ap(self):
         rng = np.random.default_rng(3)
@@ -569,6 +571,64 @@ class TestRankedMatcher:
             num_gt = sum(flags) + int(rng.integers(1, 5))
             want = reference_average_precision(flags, num_gt)
             assert average_precision(flags, num_gt) == want
+
+
+def relabelled(videos, class_id):
+    return {
+        vid: [dataclasses.replace(x, class_id=class_id) for x in intervals]
+        for vid, intervals in videos.items()
+    }
+
+
+class TestClassRule:
+    """Classwise when every interval has a class_id, pooled when a side has none."""
+
+    def test_pooled_interval_map_equals_scalar_loop_on_one_class(self):
+        rng = np.random.default_rng(16)
+        thresholds = [0.1, 0.3, 0.5, 0.7, 1.0]
+        for classes in (1, 3):
+            for case in range(60):
+                length = int(rng.choice([100, 300]))
+                gts = random_videos(rng, classes, False, length)
+                preds = random_videos(rng, classes, True, length)
+                preds["only_preds"] = random_stream(
+                    rng, 5, 300, 40, classes, scored=True
+                )
+                # Strip the classes of one side, in turn.
+                if case % 2:
+                    gts = relabelled(gts, None)
+                else:
+                    preds = relabelled(preds, None)
+                if not any(gts.values()):
+                    continue
+                got = interval_map(preds, gts, thresholds)
+                want = reference_interval_map(
+                    relabelled(preds, 0), relabelled(gts, 0), thresholds
+                )
+                assert got.per_class_ap == {
+                    thr: {None: by_class[0]}
+                    for thr, by_class in want["per_class_ap"].items()
+                }
+                assert got.map_per_threshold == want["map"]
+                assert got.average_map == want["average_map"]
+
+    def test_point_map_pools_classless_predictions(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            length = int(rng.choice([100, 300]))
+            gts = random_videos(rng, 3, False, length)
+            preds = random_videos(rng, None, True, length)
+            got = point_map(preds, gts, [1, 4, 10])
+            want = reference_point_map(preds, relabelled(gts, None), [1, 4, 10])
+            assert (got.per_offset, got.mean) == want
+
+    def test_mixed_predictions_rejected(self):
+        gts = {"v": [iv(0, 9, class_id=0)]}
+        preds = {"v": [iv(0, 9, class_id=0, score=0.9), iv(20, 29, score=0.8)]}
+        with pytest.raises(DomainError, match="predictions mix"):
+            interval_map(preds, gts, [0.5])
+        with pytest.raises(DomainError, match="predictions mix"):
+            point_map(preds, gts, [3])
 
 
 class TestVideoIds:

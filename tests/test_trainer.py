@@ -79,8 +79,12 @@ class TestTrain:
             train([], TrainConfig())
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            TrainConfig(alpha=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="alpha"):
+                TrainConfig(alpha=bad)
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
         with pytest.raises(DomainError):
             TrainConfig(epochs=0)
         with pytest.raises(DomainError):

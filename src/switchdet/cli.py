@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +30,7 @@ from .formats import (
 from .metrics import f1_at_tiou, interval_map, point_map
 from .scorer import load_checkpoint, save_checkpoint
 from .switchboard import (
+    MAX_SWITCHES,
     SwitchConfig,
     decode_sequence,
     decode_streaming,
@@ -83,28 +84,29 @@ def _write_report(path, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def _checked(kind, ok, rule: str, many: bool = False):
+    """``type=`` of a flag: a ``kind`` value for which ``ok`` holds, or a comma-separated
+    list of them if ``many``; anything else, ``nan`` included, is a usage error."""
+    def number(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    def numbers(text):
+        return [number(v) for v in text.split(",") if v != ""]
+
+    return numbers if many else number
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def _positives(text: str) -> list[float]:
-    return [_positive(v) for v in text.split(",") if v != ""]
+_tiou = functools.partial(_checked, float, lambda v: 0 < v <= 1, "in (0, 1]")
+_positive = functools.partial(_checked, float, lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 def _config(cls, args):
-    """A ``cls`` dataclass built from the flags named like its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    """A ``cls`` dataclass from the flags named like its fields, defaults for the rest."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)})
 
 
 def cmd_gen(args) -> dict:
@@ -159,8 +161,6 @@ def cmd_encode(args) -> dict:
 
 def cmd_decode(args) -> dict:
     video_id, config, labels = read_state_sequence(args.states)
-    if args.num_switches is not None and args.num_switches != config.num_switches:
-        config = SwitchConfig(args.num_switches)
     if args.streaming:
         instances = decode_streaming(labels, config)
     else:
@@ -223,21 +223,14 @@ def cmd_eval_odas(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
+    base = _config(TrainConfig, args)
+    # Class signatures are shared across the train and eval streams.
+    synth = replace(_config(SynthConfig, args), signature_seed=args.seed * 1000 + 1)
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
-    synth = dict(
-        arrival_rate=args.arrival_rate,
-        duration_min=args.duration_min,
-        duration_max=args.duration_max,
-        max_concurrent=args.max_concurrent,
-        num_classes=args.num_classes,
-        feature_dim=args.feature_dim,
-        noise_sigma=args.noise_sigma,
-        signature_seed=args.seed * 1000 + 1,  # shared across train and eval
-    )
 
     def streams(length, first_seed, count):
         # Data seeds are a fixed function of the base seed so reruns reproduce.
-        return [generate_stream(SynthConfig(length=length, seed=seed, **synth))
+        return [generate_stream(replace(synth, length=length, seed=seed))
                 for seed in range(first_seed, first_seed + count)]
 
     rows = sweep_alpha(
@@ -245,15 +238,19 @@ def cmd_sweep(args) -> dict:
         streams(args.eval_length, args.seed * 1000 + 501, args.eval_videos),
         alphas=args.alphas,
         switch_counts=args.switches,
-        base=_config(TrainConfig, args),
+        base=base,
         seeds=seeds,
         tiou_threshold=args.tiou,
         jobs=args.jobs,
     )
     Path(args.out).write_text(rows_to_csv(rows))
-    return {"alphas": args.alphas, "switches": args.switches,
-            "seeds": list(seeds), "tiou": args.tiou, "length": args.length,
-            "eval_length": args.eval_length, **synth}
+    # Every cell replaces the base config's alpha and num_switches.
+    trained = {k: v for k, v in vars(base).items() if k not in ("alpha", "num_switches")}
+    return vars(synth) | trained | {
+        "alphas": args.alphas, "switches": args.switches, "seeds": list(seeds),
+        "tiou": args.tiou, "eval_length": args.eval_length,
+        "train_videos": args.train_videos, "eval_videos": args.eval_videos,
+    }
 
 
 def _add_synth_flags(p, length_default=20000):
@@ -268,11 +265,9 @@ def _add_synth_flags(p, length_default=20000):
 
 
 def _add_train_flags(p):
-    p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--bptt-len", type=int, default=128)
-    p.add_argument("--num-switches", type=int, default=2)
     p.add_argument("--hidden-dim", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
 
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        # Flags are spelled in full, so sweep's removed --alpha is not --alphas.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("decode", cmd_decode, "decode state labels into instances")
     p.add_argument("--states", type=_In, required=True)
-    p.add_argument("--num-switches", type=int, default=None)
     p.add_argument("--streaming", action="store_true",
                    help="process frame by frame (output must match batch)")
     p.add_argument("--out", type=_Out, required=True)
@@ -327,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train the per-frame state scorer")
     p.add_argument("--video", type=_In, nargs=2, metavar=("FEATURES", "INSTANCES"),
                    action="append", required=True)
+    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--num-switches", type=int, default=2)
     _add_train_flags(p)
     p.add_argument("--out-checkpoint", type=_Out, required=True)
     p.add_argument("--out-history", type=_Out, default=None)
@@ -339,26 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_Out, required=True)
 
     p = evaluation("eval-f1", cmd_eval_f1, "matched F1 at one tIoU threshold")
-    p.add_argument("--tiou", type=float, default=0.5)
+    p.add_argument("--tiou", type=_tiou(), default=0.5)
 
     p = evaluation("eval-map", cmd_eval_map, "interval mAP")
-    p.add_argument("--tious", type=_floats, default="0.3,0.4,0.5,0.6,0.7")
+    p.add_argument("--tious", type=_tiou(many=True), default="0.3,0.4,0.5,0.6,0.7")
 
     p = evaluation("eval-odas", cmd_eval_odas, "point-level AP of action starts")
-    p.add_argument("--fps", type=_positive, required=True,
+    p.add_argument("--fps", type=_positive(), required=True,
                    help="frames per second, converts second offsets to frames")
-    p.add_argument("--offsets-seconds", type=_positives, default="1,2,3")
+    p.add_argument("--offsets-seconds", type=_positive(many=True), default="1,2,3")
 
     p = command("sweep", cmd_sweep, "alpha / switch-count ablation sweep")
-    p.add_argument("--alphas", type=_floats, default="0,0.01,0.025,0.05")
-    p.add_argument("--switches", type=_ints, default="1,2")
+    p.add_argument("--alphas", default="0,0.01,0.025,0.05", type=_checked(
+        float, lambda v: 0 <= v < math.inf, "finite and >= 0", many=True))
+    p.add_argument("--switches", default="1,2", type=_checked(
+        int, lambda v: 1 <= v <= MAX_SWITCHES, f"in [1, {MAX_SWITCHES}]", many=True))
     _add_train_flags(p)
     _add_synth_flags(p, length_default=8000)
     p.add_argument("--eval-length", type=int, default=4000)
     p.add_argument("--train-videos", type=int, default=2)
     p.add_argument("--eval-videos", type=int, default=1)
     p.add_argument("--num-seeds", type=int, default=3)
-    p.add_argument("--tiou", type=float, default=0.5)
+    p.add_argument("--tiou", type=_tiou(), default=0.5)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=_Out, required=True)
     return parser

@@ -23,6 +23,11 @@ CHECKPOINT_VERSION = 1
 _PARAM_FIELDS = ("w_z", "u_z", "b_z", "w_h", "u_h", "b_h", "w_o", "b_o")
 
 
+def _param_shapes(d: int, h: int, s: int) -> list[tuple[int, ...]]:
+    """Shapes of the _PARAM_FIELDS arrays for D features, H hidden units, S states."""
+    return [(h, d), (h, h), (h,), (h, d), (h, h), (h,), (s, h), (s,)]
+
+
 @dataclass
 class ScorerParams:
     w_z: np.ndarray  # (H, D) update-gate input weights
@@ -36,13 +41,8 @@ class ScorerParams:
 
     def __post_init__(self) -> None:
         h, d = self.w_z.shape
-        s = self.w_o.shape[0]
-        expected = {
-            "w_z": (h, d), "u_z": (h, h), "b_z": (h,),
-            "w_h": (h, d), "u_h": (h, h), "b_h": (h,),
-            "w_o": (s, h), "b_o": (s,),
-        }
-        for name, shape in expected.items():
+        expected = _param_shapes(d, h, self.w_o.shape[0])
+        for name, shape in zip(_PARAM_FIELDS, expected):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise DomainError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -280,10 +280,9 @@ def load_checkpoint(path) -> ScorerParams:
     version, d, h, s = struct.unpack("<IIII", data[4:20])
     if version != CHECKPOINT_VERSION:
         raise DomainError(f"{path}: unsupported checkpoint version {version}")
-    shapes = [(h, d), (h, h), (h,), (h, d), (h, h), (h,), (s, h), (s,)]
     offset = 20
     arrays = []
-    for shape in shapes:
+    for shape in _param_shapes(d, h, s):
         n = int(np.prod(shape))
         chunk = data[offset : offset + 8 * n]
         if len(chunk) != 8 * n:

@@ -326,7 +326,6 @@ def sweep_alpha(
                 seed=ok[0].seed,
             )
         )
-    rows.sort(key=lambda r: (r.num_switches, r.alpha))
     return rows
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -498,10 +499,10 @@ class TestManifests:
         assert run("decode", "--states", states, "--out", batch) == 0
         self.check(batch, "decode", None, [states], [batch],
                    {"num_switches": 2, "streaming": False})
-        assert run("decode", "--states", states, "--streaming",
-                   "--num-switches", 3, "--out", stream) == 0
+        # The switch count is the state file's; decode has no flag for it.
+        assert run("decode", "--states", states, "--streaming", "--out", stream) == 0
         self.check(stream, "decode", None, [states], [stream],
-                   {"num_switches": 3, "streaming": True})
+                   {"num_switches": 2, "streaming": True})
 
     @pytest.mark.parametrize("with_history", [True, False])
     def test_train_and_infer(self, stream, tmp_path, with_history):
@@ -544,13 +545,74 @@ class TestManifests:
         assert run("sweep", "--alphas", "0", "--switches", "1", "--length", 300,
                    "--eval-length", 200, "--epochs", 1, "--hidden-dim", 4,
                    "--num-seeds", 1, "--seed", 7, "--out", out) == 0
+        # The synthetic-stream and training configs the sweep ran, without the
+        # alpha and num_switches every cell replaces, plus the grid.
         self.check(out, "sweep", 7, [], [out], {
+            "length": 300, "arrival_rate": 0.02, "duration_min": 20,
+            "duration_max": 60, "max_concurrent": 2, "num_classes": 4,
+            "feature_dim": 16, "noise_sigma": 0.25, "seed": 7,
+            "signature_seed": 7001, "allow_overflow": False,
+            "learning_rate": 1e-3, "epochs": 1, "bptt_len": 128, "hidden_dim": 4,
             "alphas": [0.0], "switches": [1], "seeds": [7], "tiou": 0.5,
-            "length": 300, "eval_length": 200, "arrival_rate": 0.02,
-            "duration_min": 20, "duration_max": 60, "max_concurrent": 2,
-            "num_classes": 4, "feature_dim": 16, "noise_sigma": 0.25,
-            "signature_seed": 7001,
+            "eval_length": 200, "train_videos": 2, "eval_videos": 1,
         })
+
+    SWEEP = ["sweep", "--alphas", "0", "--switches", "1", "--length", 300,
+             "--eval-length", 200, "--epochs", 1, "--hidden-dim", 4,
+             "--num-seeds", 1, "--train-videos", 1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", 2), ("--learning-rate", 0.002), ("--hidden-dim", 5),
+        ("--bptt-len", 64), ("--train-videos", 2), ("--eval-videos", 2),
+    ])
+    def test_sweep_records_its_settings(self, tmp_path, flag, value):
+        """A setting that changes the sweep's output changes its manifest."""
+        configs = []
+        for name, extra in (("a.csv", []), ("b.csv", [flag, value])):
+            out = tmp_path / name
+            assert run(*self.SWEEP, *extra, "--out", out) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            configs.append(manifest["config"])
+        assert configs[0] != configs[1]
+
+    # jobs changes no output; num_seeds is recorded as the list of seeds.
+    UNRECORDED = {"jobs", "num_seeds"}
+
+    def test_every_setting_is_recorded(self, stream, tmp_path):
+        """Each non-file flag of each subcommand is a key of its manifest config."""
+        feats, gts = stream
+        states, ckpt, scored = (tmp_path / n for n in ("s.json", "m.aswp", "sp.jsonl"))
+        write_instances(scored, {"v": [ActionInterval(10, 40, class_id=1, score=0.9)]})
+        evaluation = ["--preds", scored, "--gts", scored]
+        runs = [  # (subcommand, primary output, the remaining flags)
+            ("encode", states, ["--instances", gts, "--length", 300,
+                                "--num-switches", 2]),
+            ("decode", tmp_path / "d.jsonl", ["--states", states]),
+            ("train", ckpt, ["--video", feats, gts, "--epochs", 1,
+                             "--hidden-dim", 4]),
+            ("infer", tmp_path / "p.jsonl", ["--checkpoint", ckpt, "--features",
+                                             feats, "--num-switches", 2]),
+            ("eval-f1", tmp_path / "f1.json", evaluation),
+            ("eval-map", tmp_path / "map.json", evaluation),
+            ("eval-odas", tmp_path / "odas.json", evaluation + ["--fps", 2.0]),
+            ("sweep", tmp_path / "sweep.csv", self.SWEEP[1:]),
+        ]
+        primary = {"gen": feats}
+        for command, out, flags in runs:
+            out_flag = "--out-checkpoint" if command == "train" else "--out"
+            assert run(command, *flags, out_flag, out) == 0
+            primary[command] = out
+        parser = cli.build_parser()
+        [subcommands] = [a.choices for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subcommands) == set(primary)
+        for command, sub in subcommands.items():
+            manifest = primary[command].with_name(primary[command].name + ".manifest.json")
+            recorded = set(json.loads(manifest.read_text())["config"])
+            settings = {a.dest for a in sub._actions
+                        if not isinstance(a, argparse._HelpAction)
+                        and a.type not in (cli._In, cli._Out)}
+            assert settings - self.UNRECORDED <= recorded, command
 
 
 class TestUsageErrors:
@@ -584,6 +646,51 @@ class TestUsageErrors:
         out = tmp_path / "odas.json"
         assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 2.0,
                    "--offsets-seconds", offsets, "--out", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "1.5", "-0.5"])
+    @pytest.mark.parametrize("command, flag", [
+        ("eval-f1", "--tiou"), ("eval-map", "--tious"), ("sweep", "--tiou"),
+    ])
+    def test_tiou_in_unit_interval(self, one_scored, tmp_path, command, flag, value):
+        preds, gts = one_scored
+        out = tmp_path / "out.json"
+        inputs = [] if command == "sweep" else ["--preds", preds, "--gts", gts]
+        if command == "eval-map":
+            value = "0.5," + value
+        assert run(command, *inputs, flag, value, "--out", out) == 1
+        assert not out.exists()
+        assert not (tmp_path / "out.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha", 0.3],
+        ["sweep", "--num-switches", 5],
+        ["decode", "--num-switches", 2],
+    ], ids=["sweep-alpha", "sweep-num-switches", "decode-num-switches"])
+    def test_removed_flags(self, tmp_path, argv):
+        """Flags that could not change any output no longer exist."""
+        states = tmp_path / "s.json"
+        write_state_sequence(states, "v", SwitchConfig(2), [0, 1, 3, 0])
+        inputs = ["--states", states] if argv[0] == "decode" else []
+        out = tmp_path / "out.csv"
+        assert run(*argv, *inputs, "--out", out) == 1
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--alphas", "0,nan"], 1), (["--alphas", "0,-0.5"], 1),
+        (["--alphas", "inf"], 1), (["--switches", "0,1"], 1),
+        (["--switches", "17"], 1), (["--learning-rate", "nan"], 2),
+        (["--epochs", "0"], 2),
+    ], ids=["alphas-nan", "alphas-negative", "alphas-inf", "switches-0",
+            "switches-17", "learning-rate-nan", "epochs-0"])
+    def test_sweep_fails_before_generating(self, tmp_path, monkeypatch, flags, code):
+        generated, generate = [], cli.generate_stream
+        monkeypatch.setattr(cli, "generate_stream",
+                            lambda cfg: generated.append(cfg) or generate(cfg))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", *flags, "--out", out) == code
+        assert generated == []
         assert not out.exists()
 
     def test_eval_odas_frame_count_overflow_exits_2(self, one_scored, tmp_path, capsys):

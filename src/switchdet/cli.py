@@ -85,8 +85,9 @@ def _write_report(path, obj: dict) -> None:
 
 
 def _checked(kind, ok, rule: str, many: bool = False):
-    """``type=`` of a flag: a ``kind`` value for which ``ok`` holds, or a comma-separated
-    list of them if ``many``; anything else, ``nan`` included, is a usage error."""
+    """``type=`` of a flag: a ``kind`` value for which ``ok`` holds, or a non-empty
+    comma-separated list of them if ``many``; anything else, ``nan`` included, is a
+    usage error."""
     def number(text):
         value = kind(text)
         if not ok(value):
@@ -94,13 +95,17 @@ def _checked(kind, ok, rule: str, many: bool = False):
         return value
 
     def numbers(text):
-        return [number(v) for v in text.split(",") if v != ""]
+        values = [number(v) for v in text.split(",") if v != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        return values
 
     return numbers if many else number
 
 
 _tiou = functools.partial(_checked, float, lambda v: 0 < v <= 1, "in (0, 1]")
 _positive = functools.partial(_checked, float, lambda v: 0 < v < math.inf, "finite and > 0")
+_count = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _config(cls, args):
@@ -228,14 +233,17 @@ def cmd_sweep(args) -> dict:
     synth = replace(_config(SynthConfig, args), signature_seed=args.seed * 1000 + 1)
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
 
-    def streams(length, first_seed, count):
+    def configs(length, first_seed, count):
         # Data seeds are a fixed function of the base seed so reruns reproduce.
-        return [generate_stream(replace(synth, length=length, seed=seed))
+        return [replace(synth, length=length, seed=seed)
                 for seed in range(first_seed, first_seed + count)]
 
+    # Every stream's config is built, and so checked, before any is generated.
+    train_cfgs = configs(args.length, args.seed * 1000 + 101, args.train_videos)
+    eval_cfgs = configs(args.eval_length, args.seed * 1000 + 501, args.eval_videos)
     rows = sweep_alpha(
-        streams(args.length, args.seed * 1000 + 101, args.train_videos),
-        streams(args.eval_length, args.seed * 1000 + 501, args.eval_videos),
+        [generate_stream(cfg) for cfg in train_cfgs],
+        [generate_stream(cfg) for cfg in eval_cfgs],
         alphas=args.alphas,
         switch_counts=args.switches,
         base=base,
@@ -354,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     _add_synth_flags(p, length_default=8000)
     p.add_argument("--eval-length", type=int, default=4000)
-    p.add_argument("--train-videos", type=int, default=2)
-    p.add_argument("--eval-videos", type=int, default=1)
-    p.add_argument("--num-seeds", type=int, default=3)
+    p.add_argument("--train-videos", type=_count, default=2)
+    p.add_argument("--eval-videos", type=_count, default=1)
+    p.add_argument("--num-seeds", type=_count, default=3)
     p.add_argument("--tiou", type=_tiou(), default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out", type=_Out, required=True)
     return parser
 

@@ -8,6 +8,7 @@ previous value and a tanh candidate, so it stays in [-1, 1] elementwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,8 +29,18 @@ def _param_shapes(d: int, h: int, s: int) -> list[tuple[int, ...]]:
     return [(h, d), (h, h), (h,), (h, d), (h, h), (h,), (s, h), (s,)]
 
 
-@dataclass
+def _param_count(d: int, h: int, s: int) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(d, h, s))
+
+
 class ScorerParams:
+    """The scorer's parameters as one C-contiguous float64 vector ``flat``.
+
+    ``flat`` is laid out as the checkpoint body: the _PARAM_FIELDS arrays in
+    order, each row-major.  The named arrays are reshaped views into it, so
+    an in-place edit of either is an edit of both.
+    """
+
     w_z: np.ndarray  # (H, D) update-gate input weights
     u_z: np.ndarray  # (H, H) update-gate recurrent weights
     b_z: np.ndarray  # (H,)
@@ -39,44 +50,29 @@ class ScorerParams:
     w_o: np.ndarray  # (S, H) output head
     b_o: np.ndarray  # (S,)
 
-    def __post_init__(self) -> None:
-        h, d = self.w_z.shape
-        expected = _param_shapes(d, h, self.w_o.shape[0])
-        for name, shape in zip(_PARAM_FIELDS, expected):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise DomainError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"non-finite values in {name}")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w_z.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.w_o.shape[0]
+    def __init__(self, flat, d: int, h: int, s: int) -> None:
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        n = _param_count(d, h, s)
+        if self.flat.shape != (n,):
+            raise DomainError(f"flat has shape {self.flat.shape}, expected ({n},)")
+        self.feature_dim, self.hidden_dim, self.num_states = d, h, s
+        start = 0
+        for name, shape in zip(_PARAM_FIELDS, _param_shapes(d, h, s)):
+            stop = start + math.prod(shape)
+            setattr(self, name, self.flat[start:stop].reshape(shape))
+            start = stop
+        if not np.isfinite(self.flat).all():
+            bad = next(name for name in _PARAM_FIELDS
+                       if not np.isfinite(getattr(self, name)).all())
+            raise DomainError(f"non-finite values in {bad}")
 
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _PARAM_FIELDS]
 
     def zeros_like(self) -> "ScorerParams":
-        return ScorerParams(*(np.zeros_like(a) for a in self.arrays()))
-
-    @classmethod
-    def _unchecked(cls, **arrays: np.ndarray) -> "ScorerParams":
-        """Wrap all eight arrays, by name, without __post_init__'s checks.
-
-        For gradients: their shapes follow from checked parameters, and a
-        non-finite gradient is returned, not raised.
-        """
-        obj = cls.__new__(cls)
-        obj.__dict__.update(arrays)
-        return obj
+        return ScorerParams(
+            np.zeros_like(self.flat), self.feature_dim, self.hidden_dim, self.num_states
+        )
 
 
 @dataclass
@@ -98,17 +94,12 @@ def init_params(
     if feature_dim < 1 or hidden_dim < 1 or num_states < 1:
         raise DomainError("feature_dim, hidden_dim and num_states must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def glorot(rows, cols):
-        a = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-a, a, size=(rows, cols))
-
     d, h, s = feature_dim, hidden_dim, num_states
-    return ScorerParams(
-        w_z=glorot(h, d), u_z=glorot(h, h), b_z=np.zeros(h),
-        w_h=glorot(h, d), u_h=glorot(h, h), b_h=np.zeros(h),
-        w_o=glorot(s, h), b_o=np.zeros(s),
-    )
+    params = ScorerParams(np.zeros(_param_count(d, h, s)), d, h, s)
+    for w in (params.w_z, params.u_z, params.w_h, params.u_h, params.w_o):
+        a = np.sqrt(6.0 / sum(w.shape))
+        w[:] = rng.uniform(-a, a, size=w.shape)
+    return params
 
 
 def _read_only(value: float) -> np.ndarray:
@@ -246,20 +237,20 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         np.dot(u_h_t, da_h, out=back)
         np.add(carry, back, out=carry)
 
-    return ScorerParams._unchecked(
-        w_z=daz.T @ cache.xs,
-        u_z=daz.T @ cache.h_prev,
-        b_z=daz.sum(axis=0),
-        w_h=dah.T @ cache.xs,
-        u_h=dah.T @ cache.h_prev,
-        b_h=dah.sum(axis=0),
-        w_o=dlogits.T @ cache.h,
-        b_o=dlogits.sum(axis=0),
-    )
+    grads = p.zeros_like()
+    np.matmul(daz.T, cache.xs, out=grads.w_z)
+    np.matmul(daz.T, cache.h_prev, out=grads.u_z)
+    daz.sum(axis=0, out=grads.b_z)
+    np.matmul(dah.T, cache.xs, out=grads.w_h)
+    np.matmul(dah.T, cache.h_prev, out=grads.u_h)
+    dah.sum(axis=0, out=grads.b_h)
+    np.matmul(dlogits.T, cache.h, out=grads.w_o)
+    dlogits.sum(axis=0, out=grads.b_o)
+    return grads
 
 
 def save_checkpoint(path, params: ScorerParams) -> None:
-    """Binary checkpoint: magic, version, dims, then matrices row-major f64 LE."""
+    """Binary checkpoint: magic, version, dims, then ``params.flat`` as f64 LE."""
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IIII",
         CHECKPOINT_VERSION,
@@ -269,8 +260,7 @@ def save_checkpoint(path, params: ScorerParams) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ScorerParams:
@@ -280,15 +270,9 @@ def load_checkpoint(path) -> ScorerParams:
     version, d, h, s = struct.unpack("<IIII", data[4:20])
     if version != CHECKPOINT_VERSION:
         raise DomainError(f"{path}: unsupported checkpoint version {version}")
-    offset = 20
-    arrays = []
-    for shape in _param_shapes(d, h, s):
-        n = int(np.prod(shape))
-        chunk = data[offset : offset + 8 * n]
-        if len(chunk) != 8 * n:
-            raise DomainError(f"{path}: truncated checkpoint")
-        arrays.append(np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape))
-        offset += 8 * n
-    if offset != len(data):
-        raise DomainError(f"{path}: trailing bytes in checkpoint")
-    return ScorerParams(*arrays)
+    n = _param_count(d, h, s)
+    if len(data) != 20 + 8 * n:
+        problem = "truncated" if len(data) < 20 + 8 * n else "trailing bytes in"
+        raise DomainError(f"{path}: {problem} checkpoint")
+    flat = np.frombuffer(data, dtype="<f8", count=n, offset=20).astype(np.float64)
+    return ScorerParams(flat, d, h, s)

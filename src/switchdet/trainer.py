@@ -73,7 +73,7 @@ class EpochStats:
 
 
 class Adam:
-    """Bias-corrected Adam over the scorer's parameter arrays, in place."""
+    """Bias-corrected Adam over the scorer's parameter vector, in place."""
 
     def __init__(
         self, params: ScorerParams, lr, beta1=0.9, beta2=0.999, eps=1e-8
@@ -83,19 +83,19 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in params.arrays()]
-        self.v = [np.zeros_like(a) for a in params.arrays()]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self, params: ScorerParams, grads: ScorerParams) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for arr, g, m, v in zip(params.arrays(), grads.arrays(), self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = grads.flat, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        params.flat -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def train(
@@ -207,48 +207,29 @@ def run_cell(
     config: TrainConfig,
     tiou_threshold: float = 0.5,
 ) -> SweepRow:
-    """Train one configuration and evaluate it on the held-out videos."""
-    params, _ = train(train_set, config)
-    switch_cfg = SwitchConfig(config.num_switches)
-    preds = {}
-    gts = {}
-    for i, (feats, insts) in enumerate(eval_set):
-        vid = f"eval{i:04d}"
-        preds[vid] = infer_instances(params, feats, switch_cfg)
-        gts[vid] = insts
-    report = f1_at_tiou(preds, gts, tiou_threshold)
-    return SweepRow(
-        num_switches=config.num_switches,
-        alpha=config.alpha,
-        f1=report.f1,
-        precision=report.precision,
-        recall=report.recall,
-        num_proposals=report.num_pred,
-        num_gt=report.num_gt,
-        seed=config.seed,
-    )
+    """Train one configuration and evaluate it on the held-out videos.
 
-
-def _run_cell_safe(
-    train_set: list[Video],
-    eval_set: list[Video],
-    config: TrainConfig,
-    tiou_threshold: float,
-) -> SweepRow:
+    A DomainError from training or evaluation gives a row with NaN metrics
+    and the error message instead of being raised.
+    """
     try:
-        return run_cell(train_set, eval_set, config, tiou_threshold)
+        params, _ = train(train_set, config)
+        switch_cfg = SwitchConfig(config.num_switches)
+        preds = {}
+        gts = {}
+        for i, (feats, insts) in enumerate(eval_set):
+            vid = f"eval{i:04d}"
+            preds[vid] = infer_instances(params, feats, switch_cfg)
+            gts[vid] = insts
+        report = f1_at_tiou(preds, gts, tiou_threshold)
     except DomainError as exc:
-        return SweepRow(
-            num_switches=config.num_switches,
-            alpha=config.alpha,
-            f1=math.nan,
-            precision=math.nan,
-            recall=math.nan,
-            num_proposals=0,
-            num_gt=0,
-            seed=config.seed,
-            error=str(exc),
-        )
+        outcome = dict(f1=math.nan, precision=math.nan, recall=math.nan,
+                       num_proposals=0, num_gt=0, error=str(exc))
+    else:
+        outcome = dict(f1=report.f1, precision=report.precision, recall=report.recall,
+                       num_proposals=report.num_pred, num_gt=report.num_gt)
+    return SweepRow(num_switches=config.num_switches, alpha=config.alpha,
+                    seed=config.seed, **outcome)
 
 
 # The train and eval sets of a sweep pool worker.  The pool's initializer
@@ -263,7 +244,7 @@ def _init_worker(train_set: list[Video], eval_set: list[Video]) -> None:
 
 
 def _run_worker_cell(task: tuple[TrainConfig, float]) -> SweepRow:
-    return _run_cell_safe(*_worker_sets, *task)
+    return run_cell(*_worker_sets, *task)
 
 
 def sweep_alpha(
@@ -298,7 +279,7 @@ def sweep_alpha(
         ) as pool:
             results = list(pool.map(_run_worker_cell, tasks))
     else:
-        results = [_run_cell_safe(train_set, eval_set, *t) for t in tasks]
+        results = [run_cell(train_set, eval_set, *t) for t in tasks]
     for r in results:
         if r.error is not None:
             log.warning(

@@ -623,7 +623,11 @@ class TestUsageErrors:
         ["eval-odas", "--fps", 2.0, "--offsets-seconds", "x"],
         ["sweep", "--alphas", "0,zz"],
         ["sweep", "--switches", "1.5"],
-    ], ids=["tious", "offsets-seconds", "alphas", "switches"])
+        ["eval-map", "--tious", ","],
+        ["eval-odas", "--fps", 2.0, "--offsets-seconds", ","],
+        ["sweep", "--switches", ","],
+    ], ids=["tious", "offsets-seconds", "alphas", "switches", "tious-empty",
+            "offsets-seconds-empty", "switches-empty"])
     def test_bad_list_element(self, one_scored, tmp_path, argv):
         preds, gts = one_scored
         out = tmp_path / "out.json"
@@ -681,9 +685,12 @@ class TestUsageErrors:
         (["--alphas", "0,nan"], 1), (["--alphas", "0,-0.5"], 1),
         (["--alphas", "inf"], 1), (["--switches", "0,1"], 1),
         (["--switches", "17"], 1), (["--learning-rate", "nan"], 2),
-        (["--epochs", "0"], 2),
+        (["--epochs", "0"], 2), (["--alphas", ","], 1), (["--num-seeds", "0"], 1),
+        (["--train-videos", "0"], 1), (["--eval-videos", "0"], 1),
+        (["--jobs", "0"], 1), (["--eval-length", "0"], 2),
     ], ids=["alphas-nan", "alphas-negative", "alphas-inf", "switches-0",
-            "switches-17", "learning-rate-nan", "epochs-0"])
+            "switches-17", "learning-rate-nan", "epochs-0", "alphas-empty",
+            "num-seeds-0", "train-videos-0", "eval-videos-0", "jobs-0", "eval-length-0"])
     def test_sweep_fails_before_generating(self, tmp_path, monkeypatch, flags, code):
         generated, generate = [], cli.generate_stream
         monkeypatch.setattr(cli, "generate_stream",

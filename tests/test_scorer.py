@@ -50,6 +50,43 @@ class TestInit:
             init_params(0, 3, 2, seed=0)
 
 
+def reference_init_params(feature_dim, hidden_dim, num_states, seed):
+    """The eight arrays init_params built before they were views of one vector."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(rows, cols):
+        a = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-a, a, size=(rows, cols))
+
+    d, h, s = feature_dim, hidden_dim, num_states
+    return [glorot(h, d), glorot(h, h), np.zeros(h),
+            glorot(h, d), glorot(h, h), np.zeros(h),
+            glorot(s, h), np.zeros(s)]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("d, h, s", [(16, 32, 4), (1, 1, 2), (3, 5, 8), (9, 2, 16)])
+    def test_init_matches_reference(self, d, h, s, seed):
+        p = init_params(d, h, s, seed=seed)
+        ref = reference_init_params(d, h, s, seed)
+        for name, arr, expected in zip(PARAM_FIELDS, p.arrays(), ref):
+            assert_same_bits(arr, expected, name)
+
+    def test_arrays_are_views_of_flat_in_field_order(self):
+        p = init_params(5, 4, 8, seed=9)
+        for q in (p, p.zeros_like()):
+            assert q.flat.dtype == np.float64 and q.flat.flags.c_contiguous
+            for arr in q.arrays():
+                assert np.shares_memory(arr, q.flat)
+        assert_same_bits(p.flat, np.concatenate([a.ravel() for a in p.arrays()]), "flat")
+
+    def test_rejects_wrong_length(self):
+        p = init_params(5, 4, 8, seed=9)
+        with pytest.raises(DomainError, match="expected"):
+            ScorerParams(p.flat[:-1], 5, 4, 8)
+
+
 class TestForward:
     def test_zero_weights_emit_bias(self):
         p = zero_params()
@@ -375,4 +412,33 @@ class TestCheckpoint:
         save_checkpoint(path, p)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DomainError):
+            load_checkpoint(path)
+
+    def test_body_is_flat(self, tmp_path):
+        p = init_params(5, 4, 8, seed=9)
+        path = tmp_path / "model.aswp"
+        save_checkpoint(path, p)
+        assert path.read_bytes()[20:] == p.flat.astype("<f8").tobytes()
+
+    def test_loaded_arrays_are_views_of_flat(self, tmp_path):
+        path = tmp_path / "model.aswp"
+        save_checkpoint(path, init_params(5, 4, 8, seed=9))
+        q = load_checkpoint(path)
+        assert q.flat.flags.writeable
+        for arr in q.arrays():
+            assert np.shares_memory(arr, q.flat)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.aswp"
+        save_checkpoint(path, init_params(5, 4, 8, seed=9))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DomainError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_weights_by_name(self, tmp_path):
+        p = init_params(5, 4, 8, seed=9)
+        p.w_o[2, 1] = np.nan
+        path = tmp_path / "model.aswp"
+        save_checkpoint(path, p)
+        with pytest.raises(DomainError, match="non-finite values in w_o"):
             load_checkpoint(path)

@@ -48,6 +48,42 @@ class TestAdam:
             assert np.abs(now - expected).max() < 1e-12
 
 
+class ReferenceAdam:
+    """The per-array Adam loop that ran before the parameters were one vector."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in params.arrays()]
+        self.v = [np.zeros_like(a) for a in params.arrays()]
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for arr, g, m, v in zip(params.arrays(), grads.arrays(), self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+@pytest.mark.parametrize("betas", [{}, {"beta1": 0.5, "beta2": 0.9, "eps": 1e-6}],
+                         ids=["default", "custom"])
+def test_adam_matches_reference_loop(betas):
+    rng = np.random.default_rng(2)
+    params, ref = init_params(5, 7, 4, seed=1), init_params(5, 7, 4, seed=1)
+    opt, ref_opt = Adam(params, 3e-3, **betas), ReferenceAdam(ref, 3e-3, **betas)
+    for _ in range(6):
+        grads = params.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.shape)
+        grads.flat[::11] = 0.0
+        opt.step(params, grads)
+        ref_opt.step(ref, grads)
+    assert params.flat.tobytes() == ref.flat.tobytes()
+
+
 class TestTrain:
     def test_learns_separable_task(self):
         video = constant_state_video()
@@ -202,6 +238,15 @@ class TestSweep:
         train_set, eval_set = tiny_split()
         row = run_cell(train_set, eval_set, TrainConfig(epochs=1, hidden_dim=8))
         assert row.num_gt == len(eval_set[0][1])
+
+    def test_run_cell_returns_failure_as_row(self):
+        train_set, eval_set = tiny_split()
+        feats, insts = eval_set[0]
+        wide = np.hstack([feats, np.zeros((feats.shape[0], 1))])
+        row = run_cell(train_set, [(wide, insts)], TrainConfig(epochs=1, hidden_dim=8))
+        assert "features must be" in row.error
+        assert np.isnan([row.f1, row.precision, row.recall]).all()
+        assert (row.num_proposals, row.num_gt) == (0, 0)
 
     def test_failed_cells_are_logged(self, caplog):
         train_set, eval_set = tiny_split()

@@ -51,6 +51,8 @@ class ScorerParams:
     b_o: np.ndarray  # (S,)
 
     def __init__(self, flat, d: int, h: int, s: int) -> None:
+        if d < 1 or h < 1 or s < 1:
+            raise DomainError(f"feature, hidden and state dims must be >= 1, got {d, h, s}")
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         n = _param_count(d, h, s)
         if self.flat.shape != (n,):
@@ -91,8 +93,6 @@ def init_params(
     feature_dim: int, hidden_dim: int, num_states: int, seed: int
 ) -> ScorerParams:
     """Glorot-uniform weights, zero biases; deterministic per seed."""
-    if feature_dim < 1 or hidden_dim < 1 or num_states < 1:
-        raise DomainError("feature_dim, hidden_dim and num_states must be >= 1")
     rng = np.random.default_rng(seed)
     d, h, s = feature_dim, hidden_dim, num_states
     params = ScorerParams(np.zeros(_param_count(d, h, s)), d, h, s)
@@ -117,10 +117,7 @@ def forward_step(
     params: ScorerParams, x, h_prev
 ) -> tuple[np.ndarray, np.ndarray]:
     """One streaming step: returns (logits row, new hidden state)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.feature_dim,):
-        raise DomainError(f"feature shape {x.shape} != ({params.feature_dim},)")
-    logits, cache = forward_sequence(params, x[None], h_prev)
+    logits, cache = forward_sequence(params, np.asarray(x)[None], h_prev)
     return logits[0], cache.h[0]
 
 

@@ -9,6 +9,7 @@ arrival_rate (overlap density) and noise_sigma.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,20 +41,20 @@ class SynthConfig:
     allow_overflow: bool = False
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise DomainError(f"length must be >= 1, got {self.length}")
-        if self.arrival_rate < 0:
-            raise DomainError(f"negative arrival_rate {self.arrival_rate}")
+        for name, low in (("length", 1), ("max_concurrent", 1), ("num_classes", 1),
+                          ("feature_dim", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.signature_seed is not None and self.signature_seed < 0:
+            raise DomainError(f"signature_seed must be >= 0, got {self.signature_seed}")
+        for name in ("arrival_rate", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
         if not (1 <= self.duration_min <= self.duration_max):
             raise DomainError(
                 f"bad duration range [{self.duration_min}, {self.duration_max}]"
             )
-        if self.max_concurrent < 1:
-            raise DomainError(f"max_concurrent must be >= 1")
-        if self.num_classes < 1 or self.feature_dim < 1:
-            raise DomainError("num_classes and feature_dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise DomainError(f"negative noise_sigma {self.noise_sigma}")
 
 
 def class_signatures(num_classes: int, feature_dim: int, rng) -> np.ndarray:
@@ -133,7 +134,8 @@ def read_features(path) -> np.ndarray:
         raise DomainError(f"{path}: unsupported feature version {version}")
     body = data[20:]
     if len(body) != 4 * t * d:
-        raise DomainError(f"{path}: truncated feature file")
+        problem = "truncated" if len(body) < 4 * t * d else "trailing bytes in"
+        raise DomainError(f"{path}: {problem} feature file")
     features = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
     if not np.all(np.isfinite(features)):
         raise DomainError(f"{path}: non-finite feature values")

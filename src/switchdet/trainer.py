@@ -51,10 +51,9 @@ class TrainConfig:
             raise DomainError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
-        if self.bptt_len < 2:
-            raise DomainError(f"bptt_len must be >= 2, got {self.bptt_len}")
+        for name, low in (("epochs", 1), ("bptt_len", 2), ("seed", 0), ("hidden_dim", 1)):
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -98,6 +97,22 @@ class Adam:
         params.flat -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def _windows(params: ScorerParams, feats: np.ndarray, width: int):
+    """Run the scorer over consecutive ``width``-frame windows of one stream.
+
+    Each window starts from the hidden state the previous one ended in, with
+    no gradient across the boundary.  Yields (rows, logits, cache), ``rows``
+    the window's slice of the stream.  The cell is looked up as
+    ``trainer.forward_sequence`` per window, so replacing it reaches both loops.
+    """
+    h0 = None
+    for start in range(0, len(feats), width):
+        rows = slice(start, start + width)
+        logits, cache = forward_sequence(params, feats[rows], h0)
+        yield rows, logits, cache
+        h0 = cache.h[-1]
+
+
 def train(
     dataset: list[Video], config: TrainConfig
 ) -> tuple[ScorerParams, list[EpochStats]]:
@@ -106,8 +121,8 @@ def train(
     Ground truth is encoded with the drop-newest policy, so videos whose
     overlap exceeds the switch count still train on what fits.
     """
-    if not dataset:
-        raise DomainError("empty dataset")
+    if not any(len(feats) for feats, _ in dataset):
+        raise DomainError("empty dataset: no frame to train on")
     switch_cfg = SwitchConfig(config.num_switches)
     feature_dim = np.asarray(dataset[0][0]).shape[1]
     encoded = []
@@ -126,16 +141,9 @@ def train(
         totals, ces, conss = [], [], []
         num_cc = 0
         for feats, labels in encoded:
-            h = np.zeros(config.hidden_dim)
-            for start in range(0, feats.shape[0], config.bptt_len):
-                stop = min(start + config.bptt_len, feats.shape[0])
-                logits, cache = forward_sequence(params, feats[start:stop], h0=h)
-                result = sequence_loss_and_grad(
-                    logits, labels[start:stop], config.alpha
-                )
-                grads = backward_sequence(cache, result.grad)
-                opt.step(params, grads)
-                h = cache.h[-1].copy()  # carry state, no gradient across windows
+            for rows, logits, cache in _windows(params, feats, config.bptt_len):
+                result = sequence_loss_and_grad(logits, labels[rows], config.alpha)
+                opt.step(params, backward_sequence(cache, result.grad))
                 totals.append(result.total)
                 ces.append(result.ce_part)
                 conss.append(result.cons_part)
@@ -168,14 +176,9 @@ def infer_instances(
             f"checkpoint has {params.num_states} states, config expects "
             f"{config.num_states}"
         )
-    features = np.asarray(features, dtype=np.float64)
     states = np.empty(len(features), dtype=np.int64)
-    h = None
-    for start in range(0, len(features), INFER_WINDOW):
-        stop = start + INFER_WINDOW
-        logits, cache = forward_sequence(params, features[start:stop], h)
-        states[start:stop] = logits.argmax(axis=1)
-        h = cache.h[-1]
+    for rows, logits, _ in _windows(params, features, INFER_WINDOW):
+        states[rows] = logits.argmax(axis=1)
     return decode_sequence(states, config)
 
 
@@ -232,19 +235,20 @@ def run_cell(
                     seed=config.seed, **outcome)
 
 
-# The train and eval sets of a sweep pool worker.  The pool's initializer
-# sets them once in each worker, never in the calling process, so that each
-# task carries only (config, tiou_threshold).
-_worker_sets: tuple[list[Video], list[Video]] = ([], [])
+# The train set, eval set and tIoU threshold of a sweep pool worker.  The
+# pool's initializer sets them once in each worker, never in the calling
+# process, so that each task is one cell's TrainConfig.
+_worker_args: tuple[list[Video], list[Video], float] = ([], [], 0.5)
 
 
-def _init_worker(train_set: list[Video], eval_set: list[Video]) -> None:
-    global _worker_sets
-    _worker_sets = (train_set, eval_set)
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
 
 
-def _run_worker_cell(task: tuple[TrainConfig, float]) -> SweepRow:
-    return run_cell(*_worker_sets, *task)
+def _run_worker_cell(config: TrainConfig) -> SweepRow:
+    train_set, eval_set, tiou_threshold = _worker_args
+    return run_cell(train_set, eval_set, config, tiou_threshold)
 
 
 def sweep_alpha(
@@ -265,21 +269,21 @@ def sweep_alpha(
     """
     if not alphas or not switch_counts or not seeds:
         raise DomainError("empty sweep grid")
-    tasks = []
+    configs = []
     for k in sorted(switch_counts):
         for alpha in sorted(alphas):
             for seed in seeds:
-                cfg = replace(base, num_switches=k, alpha=alpha, seed=seed)
-                tasks.append((cfg, tiou_threshold))
-    if jobs > 1:
+                configs.append(replace(base, num_switches=k, alpha=alpha, seed=seed))
+    workers = min(jobs, len(configs))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_init_worker,
-            initargs=(train_set, eval_set),
+            initargs=(train_set, eval_set, tiou_threshold),
         ) as pool:
-            results = list(pool.map(_run_worker_cell, tasks))
+            results = list(pool.map(_run_worker_cell, configs))
     else:
-        results = [run_cell(train_set, eval_set, *t) for t in tasks]
+        results = [run_cell(train_set, eval_set, c, tiou_threshold) for c in configs]
     for r in results:
         if r.error is not None:
             log.warning(
@@ -295,18 +299,13 @@ def sweep_alpha(
         if not ok:
             rows.append(cell[0])
             continue
-        rows.append(
-            SweepRow(
-                num_switches=ok[0].num_switches,
-                alpha=ok[0].alpha,
-                f1=float(np.median([r.f1 for r in ok])),
-                precision=float(np.median([r.precision for r in ok])),
-                recall=float(np.median([r.recall for r in ok])),
-                num_proposals=int(np.median([r.num_proposals for r in ok])),
-                num_gt=ok[0].num_gt,
-                seed=ok[0].seed,
-            )
-        )
+        rows.append(replace(
+            ok[0],
+            f1=float(np.median([r.f1 for r in ok])),
+            precision=float(np.median([r.precision for r in ok])),
+            recall=float(np.median([r.recall for r in ok])),
+            num_proposals=int(np.median([r.num_proposals for r in ok])),
+        ))
     return rows
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -247,6 +248,56 @@ class TestInferInput:
             == 2
         )
         assert not out.exists()
+
+    def test_zero_dim_checkpoint_exit_2(self, tmp_path):
+        # D = 16, H = 0, S = 4: a header whose only parameters are the head bias.
+        ckpt = tmp_path / "m.aswp"
+        ckpt.write_bytes(b"ASWP" + struct.pack("<IIII", 1, 16, 0, 4) + bytes(32))
+        feats = tmp_path / "x.aswf"
+        write_features(feats, np.zeros((20, 16)))
+        out = tmp_path / "preds.jsonl"
+        assert run("infer", "--checkpoint", ckpt, "--features", feats,
+                   "--num-switches", 2, "--out", out) == 2
+        assert not out.exists()
+        assert not (tmp_path / "preds.jsonl.manifest.json").exists()
+
+
+class TestConfigDataErrors:
+    """Settings a config rejects exit 2 before any stream is generated or read,
+    and a training set without frames exits 2; none writes an output."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--signature-seed", "-3"), ("--noise-sigma", "nan"),
+        ("--noise-sigma", "inf"), ("--arrival-rate", "nan"), ("--arrival-rate", "inf"),
+    ], ids=["seed", "signature-seed", "noise-sigma-nan", "noise-sigma-inf",
+            "arrival-rate-nan", "arrival-rate-inf"])
+    def test_gen(self, tmp_path, monkeypatch, flag, value):
+        generated, generate = [], cli.generate_stream
+        monkeypatch.setattr(cli, "generate_stream",
+                            lambda cfg: generated.append(cfg) or generate(cfg))
+        assert run("gen", "--length", 50, flag, value, "--out-features",
+                   tmp_path / "x.aswf", "--out-instances", tmp_path / "x.jsonl") == 2
+        assert generated == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_negative_seed(self, tmp_path, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "read_features", read.append)
+        ckpt = tmp_path / "m.aswp"
+        assert run("train", "--video", tmp_path / "x.aswf", tmp_path / "gt.jsonl",
+                   "--seed", -2, "--out-checkpoint", ckpt) == 2
+        assert read == []
+        assert not ckpt.exists()
+
+    def test_train_without_frames(self, tmp_path, capsys):
+        feats, gts = tmp_path / "x.aswf", tmp_path / "gt.jsonl"
+        write_features(feats, np.zeros((0, 4)))
+        gts.write_text("")
+        ckpt, history = tmp_path / "m.aswp", tmp_path / "h.jsonl"
+        assert run("train", "--video", feats, gts, "--epochs", 1, "--hidden-dim", 4,
+                   "--out-checkpoint", ckpt, "--out-history", history) == 2
+        assert "no frame" in capsys.readouterr().err
+        assert not ckpt.exists() and not history.exists()
 
 
 class TestOneVideoPerInstanceFile:
@@ -688,9 +739,12 @@ class TestUsageErrors:
         (["--epochs", "0"], 2), (["--alphas", ","], 1), (["--num-seeds", "0"], 1),
         (["--train-videos", "0"], 1), (["--eval-videos", "0"], 1),
         (["--jobs", "0"], 1), (["--eval-length", "0"], 2),
+        (["--seed", "-1"], 2), (["--hidden-dim", "0"], 2),
+        (["--noise-sigma", "nan"], 2), (["--arrival-rate", "inf"], 2),
     ], ids=["alphas-nan", "alphas-negative", "alphas-inf", "switches-0",
             "switches-17", "learning-rate-nan", "epochs-0", "alphas-empty",
-            "num-seeds-0", "train-videos-0", "eval-videos-0", "jobs-0", "eval-length-0"])
+            "num-seeds-0", "train-videos-0", "eval-videos-0", "jobs-0", "eval-length-0",
+            "seed--1", "hidden-dim-0", "noise-sigma-nan", "arrival-rate-inf"])
     def test_sweep_fails_before_generating(self, tmp_path, monkeypatch, flags, code):
         generated, generate = [], cli.generate_stream
         monkeypatch.setattr(cli, "generate_stream",

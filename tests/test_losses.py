@@ -63,6 +63,15 @@ class TestConservativenessTerm:
         with pytest.raises(DomainError):
             conservativeness_term(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("logits, prev_state, match", [
+        (np.zeros((2, 3)), 0, "1-d"),
+        (np.zeros(3), 3, "out of range"),
+        (np.zeros(3), -1, "out of range"),
+    ], ids=["two-d-logits", "prev-state-high", "prev-state-negative"])
+    def test_rejects_bad_input(self, logits, prev_state, match):
+        with pytest.raises(DomainError, match=match):
+            conservativeness_term(logits, prev_state)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             conservativeness_term(np.array([np.nan, 0.0]), 0)
@@ -138,6 +147,8 @@ class TestSequenceLoss:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             sequence_loss_and_grad(np.zeros((3, 2)), [0, 1], 0.0)
+        with pytest.raises(DomainError, match="empty logit sequence"):
+            sequence_loss_and_grad(np.zeros((0, 2)), [], 0.0)
 
     def test_negative_alpha(self):
         with pytest.raises(DomainError):

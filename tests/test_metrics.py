@@ -87,6 +87,10 @@ class TestHungarian:
         with pytest.raises(DomainError):
             hungarian_assign([[np.inf, 1.0]])
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(DomainError, match="must be a matrix"):
+            hungarian_assign([1.0, 2.0])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -279,6 +283,10 @@ class TestAveragePrecision:
 
     def test_no_preds(self):
         assert average_precision([], 3) == 0.0
+
+    def test_rejects_no_ground_truth(self):
+        with pytest.raises(DomainError, match="at least one ground truth"):
+            average_precision([True], 0)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -652,6 +660,11 @@ class TestVideoIds:
 
 
 class TestIntervalMapThresholds:
+    def test_no_threshold_rejected(self):
+        gts = {"v": [iv(0, 9, class_id=0)]}
+        with pytest.raises(DomainError, match="no IoU thresholds"):
+            interval_map({"v": []}, gts, [])
+
     def test_zero_threshold_rejected(self):
         # A prediction far from the ground truth used to score mAP 1.0 at 0.0.
         gts = {"v": [iv(0, 9, class_id=0)]}

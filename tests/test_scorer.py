@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ class TestLayout:
         with pytest.raises(DomainError, match="expected"):
             ScorerParams(p.flat[:-1], 5, 4, 8)
 
+    def test_rejects_zero_dim(self):
+        # D = 16, H = 0, S = 4 has exactly 4 parameters, the head bias.
+        with pytest.raises(DomainError, match="must be >= 1"):
+            ScorerParams(np.zeros(4), 16, 0, 4)
+
 
 class TestForward:
     def test_zero_weights_emit_bias(self):
@@ -133,6 +140,10 @@ class TestForward:
         p = init_params(3, 4, 2, seed=1)
         with pytest.raises(DomainError):
             forward_sequence(p, np.zeros((5, 2)))
+        with pytest.raises(DomainError, match="features must be"):
+            forward_step(p, np.zeros(2), np.zeros(4))
+        with pytest.raises(DomainError, match="h0 shape"):
+            forward_sequence(p, np.zeros((5, 3)), np.zeros(3))
 
     def test_empty_sequence(self):
         p = init_params(3, 4, 2, seed=1)
@@ -404,6 +415,17 @@ class TestCheckpoint:
         path = tmp_path / "bad.aswp"
         path.write_bytes(b"nope")
         with pytest.raises(DomainError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, match", [
+        ((2, 5, 4, 8), "unsupported checkpoint version 2"),
+        ((1, 16, 0, 4), "must be >= 1"),
+    ], ids=["version", "zero-hidden-dim"])
+    def test_rejects_header(self, tmp_path, header, match):
+        # Four zero floats: the whole body of the zero-hidden-dim header (b_o).
+        path = tmp_path / "bad.aswp"
+        path.write_bytes(b"ASWP" + struct.pack("<IIII", *header) + bytes(32))
+        with pytest.raises(DomainError, match=match):
             load_checkpoint(path)
 
     def test_rejects_truncated(self, tmp_path):

@@ -111,6 +111,8 @@ class TestEncode:
     def test_out_of_range_frame(self):
         with pytest.raises(DomainError):
             encode_instances([ActionInterval(0, 9)], 5, SwitchConfig(1))
+        with pytest.raises(DomainError, match="negative stream length"):
+            encode_instances([], -1, SwitchConfig(1))
 
     def test_unknown_policy(self):
         with pytest.raises(DomainError):
@@ -148,6 +150,8 @@ class TestDecode:
     def test_invalid_label(self):
         with pytest.raises(DomainError):
             decode_sequence([0, 2], SwitchConfig(1))
+        with pytest.raises(DomainError, match="1-d"):
+            decode_sequence([[0, 1], [1, 0]], SwitchConfig(1))
 
     def test_count_law(self):
         rng = np.random.default_rng(11)
@@ -220,6 +224,8 @@ class TestStreamDecoder:
         dec.finalize()
         with pytest.raises(ProtocolError):
             dec.step(0, 0)
+        with pytest.raises(ProtocolError, match="finalize"):
+            dec.finalize()
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -24,6 +24,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             SynthConfig(length=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("signature_seed", -3), ("max_concurrent", 0),
+        ("num_classes", 0), ("feature_dim", 0), ("noise_sigma", -0.1),
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("arrival_rate", float("nan")), ("arrival_rate", float("inf")),
+    ], ids=["seed", "signature_seed", "max_concurrent", "num_classes", "feature_dim",
+            "noise_sigma-negative", "noise_sigma-nan", "noise_sigma-inf",
+            "arrival_rate-nan", "arrival_rate-inf"])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SynthConfig(length=100, **{field: value})
+
 
 class TestGenerate:
     def test_zero_rate_gives_pure_noise(self):
@@ -132,6 +144,23 @@ class TestFeatureFile:
         path.write_bytes(b"not a feature file")
         with pytest.raises(DomainError):
             read_features(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+         "unsupported feature version 2"),
+        (lambda raw: raw[:-4], "truncated feature file"),
+        (lambda raw: raw + bytes(4), "trailing bytes in feature file"),
+    ], ids=["version", "short-body", "trailing-bytes"])
+    def test_rejects_bad_file(self, tmp_path, edit, match):
+        path = tmp_path / "x.aswf"
+        write_features(path, np.ones((3, 2)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DomainError, match=match):
+            read_features(path)
+
+    def test_write_rejects_non_matrix(self, tmp_path):
+        with pytest.raises(DomainError, match="2-d"):
+            write_features(tmp_path / "x.aswf", np.zeros(5))
 
     def test_rejects_non_finite_values(self, tmp_path):
         features = np.zeros((6, 4))

@@ -1,6 +1,9 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from switchdet import trainer
 from switchdet.exceptions import DomainError
 from switchdet.scorer import forward_step, init_params
 from switchdet.switchboard import (
@@ -113,6 +116,8 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(DomainError):
             train([], TrainConfig())
+        with pytest.raises(DomainError, match="no frame"):
+            train([(np.zeros((0, 4)), [])], TrainConfig())
 
     def test_config_validation(self):
         for bad in (-1.0, float("nan"), float("inf")):
@@ -125,6 +130,10 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(DomainError):
             TrainConfig(bptt_len=1)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+        with pytest.raises(DomainError, match="hidden_dim must be >= 1"):
+            TrainConfig(hidden_dim=0)
 
 
 class TestInfer:
@@ -228,6 +237,25 @@ class TestSweep:
         serial = sweep_alpha(train_set, eval_set, jobs=1, **kwargs)
         parallel = sweep_alpha(train_set, eval_set, jobs=2, **kwargs)
         assert parallel == serial
+
+    @pytest.mark.parametrize("alphas, pools", [([0.0], []), ([0.0, 0.05], [2])],
+                             ids=["one-cell", "two-cells"])
+    def test_pool_never_outnumbers_cells(self, monkeypatch, alphas, pools):
+        built = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", RecordingPool)
+        train_set, eval_set = tiny_split()
+        rows = sweep_alpha(
+            train_set, eval_set, alphas=alphas, switch_counts=[1],
+            base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0,), jobs=3,
+        )
+        assert built == pools
+        assert [r.error for r in rows] == [None] * len(alphas)
 
     def test_empty_grid(self):
         train_set, eval_set = tiny_split()

@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -46,6 +47,11 @@ from .trainer import (
 )
 
 log = logging.getLogger("switchdet")
+
+# The default video id of gen's and infer's outputs and encode's state file.
+_VIDEO_ID = "video"
+# The TrainConfig fields each sweep cell sets; sweep has no flag for them.
+_CELL_FIELDS = ("alpha", "num_switches")
 
 
 class _In(str):
@@ -144,7 +150,7 @@ def _read_one_video(path, video_id=None) -> tuple[str | None, list]:
 
 def cmd_encode(args) -> dict:
     video_id, instances = _read_one_video(args.instances, args.video_id)
-    video_id = video_id or "video"
+    video_id = video_id or _VIDEO_ID
     config = SwitchConfig(args.num_switches)
     labels, report = encode_instances(instances, args.length, config, args.policy)
     write_state_sequence(args.out, video_id, config, labels)
@@ -188,9 +194,9 @@ def cmd_train(args) -> dict:
 
 
 def cmd_infer(args) -> dict:
+    config = SwitchConfig(args.num_switches)
     params = load_checkpoint(args.checkpoint)
     features = read_features(args.features)
-    config = SwitchConfig(args.num_switches)
     instances = infer_instances(params, features, config)
     write_instances(args.out, {args.video_id: instances})
     return {"num_switches": args.num_switches, "video_id": args.video_id}
@@ -252,8 +258,7 @@ def cmd_sweep(args) -> dict:
         jobs=args.jobs,
     )
     Path(args.out).write_text(rows_to_csv(rows))
-    # Every cell replaces the base config's alpha and num_switches.
-    trained = {k: v for k, v in vars(base).items() if k not in ("alpha", "num_switches")}
+    trained = {k: v for k, v in vars(base).items() if k not in _CELL_FIELDS}
     return vars(synth) | trained | {
         "alphas": args.alphas, "switches": args.switches, "seeds": list(seeds),
         "tiou": args.tiou, "eval_length": args.eval_length,
@@ -261,23 +266,19 @@ def cmd_sweep(args) -> dict:
     }
 
 
-def _add_synth_flags(p, length_default=20000):
-    p.add_argument("--length", type=int, default=length_default)
-    p.add_argument("--arrival-rate", type=float, default=0.02)
-    p.add_argument("--duration-min", type=int, default=20)
-    p.add_argument("--duration-max", type=int, default=60)
-    p.add_argument("--max-concurrent", type=int, default=2)
-    p.add_argument("--num-classes", type=int, default=4)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--noise-sigma", type=float, default=0.25)
+# add_argument keywords of a config field's flag, by the field's type.
+_FLAG_KINDS = {bool: {"action": "store_true"}, float: {"type": float},
+               int: {"type": int}, int | None: {"type": int}}
 
 
-def _add_train_flags(p):
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--bptt-len", type=int, default=128)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+def _add_config_flags(p, cls, skip=(), **defaults):
+    """One ``--field-name`` flag per field of dataclass ``cls`` not in ``skip``,
+    defaulting to ``defaults[name]`` if given, else to the field's default."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), **_FLAG_KINDS[hints[f.name]],
+                           default=defaults.get(f.name, f.default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,12 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gen", cmd_gen, "generate a synthetic stream")
-    _add_synth_flags(p)
-    p.add_argument("--allow-overflow", action="store_true")
-    p.add_argument("--signature-seed", type=int, default=None,
-                   help="share class signatures across streams")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--video-id", default="synth")
+    _add_config_flags(p, SynthConfig, length=20000)
+    p.add_argument("--video-id", default=_VIDEO_ID)
     p.add_argument("--out-features", type=_Out, required=True)
     p.add_argument("--out-instances", type=_Out, required=True)
 
@@ -330,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train the per-frame state scorer")
     p.add_argument("--video", type=_In, nargs=2, metavar=("FEATURES", "INSTANCES"),
                    action="append", required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--num-switches", type=int, default=2)
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--out-checkpoint", type=_Out, required=True)
     p.add_argument("--out-history", type=_Out, default=None)
 
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=_In, required=True)
     p.add_argument("--features", type=_In, required=True)
     p.add_argument("--num-switches", type=int, required=True)
-    p.add_argument("--video-id", default="video")
+    p.add_argument("--video-id", default=_VIDEO_ID)
     p.add_argument("--out", type=_Out, required=True)
 
     p = evaluation("eval-f1", cmd_eval_f1, "matched F1 at one tIoU threshold")
@@ -359,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         float, lambda v: 0 <= v < math.inf, "finite and >= 0", many=True))
     p.add_argument("--switches", default="1,2", type=_checked(
         int, lambda v: 1 <= v <= MAX_SWITCHES, f"in [1, {MAX_SWITCHES}]", many=True))
-    _add_train_flags(p)
-    _add_synth_flags(p, length_default=8000)
+    _add_config_flags(p, TrainConfig, skip=_CELL_FIELDS)
+    # Sweep's one --seed is TrainConfig's; it also derives the stream seeds.
+    _add_config_flags(p, SynthConfig, skip=("seed", "signature_seed", "allow_overflow"),
+                      length=8000)
     p.add_argument("--eval-length", type=int, default=4000)
     p.add_argument("--train-videos", type=_count, default=2)
     p.add_argument("--eval-videos", type=_count, default=1)

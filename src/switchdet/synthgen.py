@@ -117,8 +117,8 @@ def concurrency_profile(instances, length: int) -> np.ndarray:
 def write_features(path, features) -> None:
     """Binary features: magic, version u32, T u64, D u32, row-major f32 LE."""
     arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 2:
-        raise DomainError(f"features must be 2-d, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise DomainError(f"features must be 2-d with >= 1 column, got shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQI", FEATURE_VERSION, arr.shape[0], arr.shape[1]))
@@ -132,6 +132,8 @@ def read_features(path) -> np.ndarray:
     version, t, d = struct.unpack("<IQI", data[4:20])
     if version != FEATURE_VERSION:
         raise DomainError(f"{path}: unsupported feature version {version}")
+    if d == 0:
+        raise DomainError(f"{path}: feature file with 0 columns")
     body = data[20:]
     if len(body) != 4 * t * d:
         problem = "truncated" if len(body) < 4 * t * d else "trailing bytes in"

@@ -38,7 +38,7 @@ INFER_WINDOW = 1024
 class TrainConfig:
     alpha: float = 0.0
     learning_rate: float = 1e-3
-    epochs: int = 1
+    epochs: int = 3
     bptt_len: int = 128
     seed: int = 0
     num_switches: int = 2
@@ -54,6 +54,7 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("bptt_len", 2), ("seed", 0), ("hidden_dim", 1)):
             if getattr(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        SwitchConfig(self.num_switches)
 
 
 @dataclass

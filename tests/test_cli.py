@@ -1,6 +1,7 @@
 import argparse
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from switchdet.cli import main
 from switchdet.formats import write_instances, write_state_sequence
 from switchdet.scorer import init_params, save_checkpoint
 from switchdet.switchboard import ActionInterval, SwitchConfig
-from switchdet.synthgen import write_features
+from switchdet.synthgen import SynthConfig, write_features
+from switchdet.trainer import TrainConfig
 
 
 def run(*argv):
@@ -160,6 +162,18 @@ class TestGenTrainInferEval:
         )
         assert json.loads(report.read_text())["f1"] == 1.0
 
+    def test_default_video_ids_compose(self, tmp_path):
+        """gen and infer name their video alike, so eval-f1 can compare them."""
+        feats, gts, ckpt, preds, report = (
+            tmp_path / n for n in ("x.aswf", "gt.jsonl", "m.aswp", "p.jsonl", "f1.json"))
+        assert run("gen", "--length", 300, "--feature-dim", 4, "--out-features", feats,
+                   "--out-instances", gts) == 0
+        assert run("train", "--video", feats, gts, "--epochs", 1, "--hidden-dim", 4,
+                   "--out-checkpoint", ckpt) == 0
+        assert run("infer", "--checkpoint", ckpt, "--features", feats,
+                   "--num-switches", 2, "--out", preds) == 0
+        assert run("eval-f1", "--preds", preds, "--gts", gts, "--out", report) == 0
+
     def test_eval_map_and_odas(self, tmp_path):
         gts = tmp_path / "gt.jsonl"
         preds = tmp_path / "p.jsonl"
@@ -249,6 +263,20 @@ class TestInferInput:
         )
         assert not out.exists()
 
+    def test_zero_column_features_exit_2(self, tmp_path):
+        # T = 2^40 frames of D = 0 columns: a 20-byte file that claims 8 TiB of work.
+        feats = tmp_path / "x.aswf"
+        feats.write_bytes(b"ASWF" + struct.pack("<IQI", 1, 1 << 40, 0))
+        ckpt = tmp_path / "m.aswp"
+        make_checkpoint(ckpt)
+        gts = tmp_path / "gt.jsonl"
+        gts.write_text("")
+        preds, out = tmp_path / "p.jsonl", tmp_path / "m2.aswp"
+        assert run("infer", "--checkpoint", ckpt, "--features", feats,
+                   "--num-switches", 2, "--out", preds) == 2
+        assert run("train", "--video", feats, gts, "--out-checkpoint", out) == 2
+        assert not preds.exists() and not out.exists()
+
     def test_zero_dim_checkpoint_exit_2(self, tmp_path):
         # D = 16, H = 0, S = 4: a header whose only parameters are the head bias.
         ckpt = tmp_path / "m.aswp"
@@ -288,6 +316,21 @@ class TestConfigDataErrors:
                    "--seed", -2, "--out-checkpoint", ckpt) == 2
         assert read == []
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--video", "x.aswf", "gt.jsonl", "--num-switches", 0,
+         "--out-checkpoint", "m.aswp"],
+        ["infer", "--checkpoint", "m.aswp", "--features", "x.aswf",
+         "--num-switches", 17, "--out", "p.jsonl"],
+    ], ids=["train", "infer"])
+    def test_switch_count_before_reading(self, tmp_path, monkeypatch, argv):
+        read = []
+        monkeypatch.setattr(cli, "read_features", read.append)
+        monkeypatch.chdir(tmp_path)
+        make_checkpoint(tmp_path / "m.aswp")
+        assert run(*argv) == 2
+        assert read == []
+        assert [p.name for p in tmp_path.iterdir()] == ["m.aswp"]
 
     def test_train_without_frames(self, tmp_path, capsys):
         feats, gts = tmp_path / "x.aswf", tmp_path / "gt.jsonl"
@@ -528,7 +571,7 @@ class TestManifests:
             "length": 300, "arrival_rate": 0.03, "duration_min": 20,
             "duration_max": 60, "max_concurrent": 2, "num_classes": 4,
             "feature_dim": 4, "noise_sigma": 0.25, "seed": 5,
-            "signature_seed": None, "allow_overflow": False, "video_id": "synth",
+            "signature_seed": None, "allow_overflow": False, "video_id": "video",
         })
 
     @pytest.mark.parametrize("with_report", [True, False])
@@ -664,6 +707,26 @@ class TestManifests:
                         if not isinstance(a, argparse._HelpAction)
                         and a.type not in (cli._In, cli._Out)}
             assert settings - self.UNRECORDED <= recorded, command
+
+
+class TestConfigFlagDefaults:
+    """gen, train and sweep take their config flags from the config fields: a
+    flag's default is its field's default, and only the listed fields have none."""
+
+    @pytest.mark.parametrize("argv, configs, flagless", [
+        (["gen", "--out-features", "x", "--out-instances", "y"], [SynthConfig], set()),
+        (["train", "--video", "x", "y", "--out-checkpoint", "z"], [TrainConfig], set()),
+        (["sweep", "--out", "x"], [SynthConfig, TrainConfig],
+         {"alpha", "num_switches", "signature_seed", "allow_overflow"}),
+    ], ids=["gen", "train", "sweep"])
+    def test_flag_defaults_are_field_defaults(self, argv, configs, flagless):
+        parsed = vars(cli.build_parser().parse_args(argv))
+        names = {f.name for cls in configs for f in fields(cls)}
+        assert names - set(parsed) == flagless
+        for f in (f for cls in configs for f in fields(cls)):
+            # length has no field default; gen and sweep each set their own.
+            if f.name in parsed and f.name != "length":
+                assert parsed[f.name] == f.default, f.name
 
 
 class TestUsageErrors:

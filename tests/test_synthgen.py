@@ -159,8 +159,10 @@ class TestFeatureFile:
             read_features(path)
 
     def test_write_rejects_non_matrix(self, tmp_path):
-        with pytest.raises(DomainError, match="2-d"):
-            write_features(tmp_path / "x.aswf", np.zeros(5))
+        for features in (np.zeros(5), np.zeros((3, 0))):
+            with pytest.raises(DomainError, match="2-d"):
+                write_features(tmp_path / "x.aswf", features)
+        assert not (tmp_path / "x.aswf").exists()
 
     def test_rejects_non_finite_values(self, tmp_path):
         features = np.zeros((6, 4))

@@ -141,11 +141,10 @@ def _read_one_video(path, video_id=None) -> tuple[str | None, list]:
     if video_id is None:
         if len(videos) > 1:
             raise DomainError(f"{path}: holds {len(videos)} videos, expected one")
-        [(video_id, instances)] = videos.items()
-        return video_id, instances
-    if video_id not in videos:
+        [video_id] = videos
+    elif video_id not in videos:
         raise DomainError(f"{path}: no video {video_id!r}")
-    return video_id, videos[video_id]
+    return video_id, list(videos[video_id])
 
 
 def cmd_encode(args) -> dict:

@@ -11,16 +11,27 @@ State sequences are a single JSON object:
 from __future__ import annotations
 
 import json
+import operator
+from itertools import compress, count
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
 from .exceptions import DomainError
-from .switchboard import ActionInterval, SwitchConfig
+from .switchboard import (
+    FRAME_LIMIT,
+    ActionInterval,
+    IntervalColumns,
+    SwitchConfig,
+    all_finite,
+    fits_int64,
+)
 
-# Decodes one value and returns where it ended; json.loads would also skip
-# whitespace around it with two regex matches per line.
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner behind JSONDecoder.raw_decode: decodes one value and returns
+# where it ended.  json.loads would also skip whitespace around it with two
+# regex matches per line, and raw_decode adds a Python call per line.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
@@ -34,39 +45,6 @@ def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
     }
 
 
-def instance_from_record(rec: dict) -> tuple[str, ActionInterval]:
-    """Parse one record; every field must already have its JSON type.
-
-    Nothing is coerced: a float frame (3.7), a bool frame (true), a string
-    flag ("false") or a numeric video id is a DomainError.  ``type(v) is``
-    checks keep bools out of the integer and number fields.
-    """
-    try:
-        video_id, start, end = rec["video_id"], rec["start"], rec["end"]
-        class_id = rec.get("class_id")
-        score = rec.get("score")
-        truncated = rec.get("truncated", False)
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"bad instance record {rec!r}: {exc}") from exc
-    if type(video_id) is not str:
-        problem = "video_id must be a string"
-    elif type(start) is not int or type(end) is not int:
-        problem = "start and end must be integers"
-    elif class_id is not None and type(class_id) is not int:
-        problem = "class_id must be an integer or null"
-    elif score is not None and type(score) is not float and type(score) is not int:
-        problem = "score must be a number or null"
-    elif type(truncated) is not bool:
-        problem = "truncated must be true or false"
-    else:
-        problem = None
-    if problem:
-        raise DomainError(f"bad instance record {rec!r}: {problem}")
-    if type(score) is int:
-        score = float(score)
-    return video_id, ActionInterval(start, end, class_id, score, truncated)
-
-
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
     """Write per-video instance lists as JSON Lines, sorted for reproducibility."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -75,33 +53,120 @@ def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
                 fh.write(json.dumps(instance_to_record(video_id, inst)) + "\n")
 
 
-def read_instances(path) -> dict[str, list[ActionInterval]]:
-    """Per-video instance lists of a JSON Lines file; blank lines are skipped.
+def read_instances(path) -> dict[str, IntervalColumns]:
+    """Per-video interval columns of a JSON Lines file; blank lines are skipped.
 
     Each line must hold exactly one JSON value, a valid record; any error
-    names the file and line.
+    names the file and line.  Records are decoded one line at a time and then
+    checked one column at a time.
     """
-    videos: dict[str, list[ActionInterval]] = {}
+    recs, line_nos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec, end = _raw_decode(line)
+                try:
+                    rec, end = _scan_once(line, 0)
+                except StopIteration as stop:  # as raw_decode reports it
+                    raise json.JSONDecodeError("Expecting value", line, stop.value) from None
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
+                # A bad record on an earlier line is reported first.
+                _check_records(path, recs, line_nos)
                 raise DomainError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            try:
-                video_id, inst = instance_from_record(rec)
-            except DomainError as exc:
-                raise DomainError(f"{path}:{line_no}: {exc}") from exc
-            insts = videos.get(video_id)
-            if insts is None:
-                insts = videos[video_id] = []
-            insts.append(inst)
-    return videos
+            recs.append(rec)
+            line_nos.append(line_no)
+    return _split_videos(*_check_records(path, recs, line_nos))
+
+
+_REQUIRED = operator.itemgetter("video_id", "start", "end")
+
+
+def _lookup_error(rec) -> str | None:
+    try:
+        _REQUIRED(rec)
+    except (KeyError, TypeError) as exc:
+        return str(exc)
+    return None
+
+
+def _types(*allowed):
+    """Column rule: every value has one of the allowed exact types."""
+    allowed = set(allowed)
+    return lambda *columns: all(set(map(type, c)) <= allowed for c in columns)
+
+
+def _check_records(path, recs, line_nos):
+    """Columns of decoded records; raises for the first invalid one by line.
+
+    Nothing is coerced: a float frame (3.7), a bool frame (true), a string
+    flag ("false") or a numeric video id is a DomainError; ``type(v) is``
+    checks keep bools out of the integer and number fields.  Frames must lie
+    in [0, FRAME_LIMIT), class ids must fit int64 and scores must be finite.
+
+    Each rule holds for whole columns, and runs over the rows before the
+    first failure found so far, in rule order; only when it fails is it run
+    row by row.  The error is thus that of the first bad line, with the first
+    rule it breaks, and the value rules see only rows whose fields have their
+    JSON types.
+    """
+    first, problem = len(recs), None
+    try:
+        required = list(map(_REQUIRED, recs))
+    except (KeyError, TypeError):
+        first = next(compress(count(), map(_lookup_error, recs)))
+        problem = f"bad instance record {recs[first]!r}: {_lookup_error(recs[first])}"
+        required = list(map(_REQUIRED, recs[:first]))
+    rows = recs[:first]
+    video_ids, starts, ends = zip(*required) if required else ((), (), ())
+    class_ids = [r.get("class_id") for r in rows]
+    scores = [r.get("score") for r in rows]
+    truncated = [r.get("truncated", False) for r in rows]
+
+    def check(ok, message, *columns):
+        nonlocal first, problem
+        columns = [c[:first] for c in columns]
+        if not ok(*columns):
+            first = next(row for row, values in enumerate(zip(*columns))
+                         if not ok(*([v] for v in values)))
+            problem = message(recs[first])
+
+    def record(text):
+        return lambda rec: f"bad instance record {rec!r}: {text}"
+
+    check(_types(str), record("video_id must be a string"), video_ids)
+    check(_types(int), record("start and end must be integers"), starts, ends)
+    check(_types(NoneType, int), record("class_id must be an integer or null"), class_ids)
+    check(_types(NoneType, float, int), record("score must be a number or null"), scores)
+    check(_types(bool), record("truncated must be true or false"), truncated)
+    # ActionInterval's own rules, with its messages.
+    check(lambda s: min(s, default=0) >= 0,
+          lambda rec: f"negative start frame {rec['start']}", starts)
+    check(lambda s, e: not any(map(operator.gt, s, e)),
+          lambda rec: f"inverted interval [{rec['start']}, {rec['end']}]", starts, ends)
+    check(lambda e: max(e, default=0) < FRAME_LIMIT,
+          record("start and end must be below 2**62"), ends)
+    check(fits_int64, record("class_id must fit int64"), class_ids)
+    check(all_finite, record("score must be finite"), scores)
+    if problem:
+        raise DomainError(f"{path}:{line_nos[first]}: {problem}")
+    spans = np.stack([np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)], axis=1)
+    return video_ids, IntervalColumns.from_fields(spans, class_ids, scores, truncated)
+
+
+def _split_videos(video_ids, columns: IntervalColumns) -> dict[str, IntervalColumns]:
+    """The rows of each video, in order of first appearance."""
+    codes: dict[str, int] = {}
+    video = np.array([codes.setdefault(v, len(codes)) for v in video_ids], dtype=np.intp)
+    order = np.argsort(video, kind="stable")
+    cuts = np.cumsum(np.bincount(video))[:-1]
+    return {
+        video_id: columns.select(rows)
+        for video_id, rows in zip(codes, np.split(order, cuts))
+    }
 
 
 def write_state_sequence(path, video_id: str, config: SwitchConfig, labels) -> None:

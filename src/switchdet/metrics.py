@@ -9,14 +9,18 @@ intervals; start detection uses point-level AP within a frame offset.  Both
 are classwise when every interval has a class and pooled (class-agnostic)
 when either side has none.
 
-Overlaps are computed a whole matrix at a time.  Intervals that share no
-frame have IoU 0, so the optimal matching is solved separately on each group
-of intervals chained by shared frames, and its cost grows with the groups'
-sizes, not with predictions x ground truth.
+Every metric takes per-video intervals as IntervalColumns, the instance
+reader's output, or as lists of ActionIntervals, which it converts once.
+Intervals that share no frame have IoU 0, so the optimal matching is solved
+separately on each group of intervals chained by shared frames, and its cost
+grows with the groups' sizes, not with predictions x ground truth.  The
+ranked metrics never build a predictions x ground truth matrix either: a
+sorted sweep over ground-truth starts finds each prediction's candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -24,7 +28,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import DomainError
-from .switchboard import ActionInterval
+from .switchboard import (
+    FRAME_LIMIT,
+    ActionInterval,
+    IntervalColumns,
+    all_finite,
+    fits_int64,
+)
+
+_NO_SPANS = np.empty((0, 2), dtype=np.int64)
 
 
 def tiou(a: ActionInterval, b: ActionInterval) -> float:
@@ -38,9 +50,33 @@ def tiou(a: ActionInterval, b: ActionInterval) -> float:
 
 def _spans(intervals) -> np.ndarray:
     """(n, 2) int64 array of inclusive [start, end] frames."""
-    return np.array(
-        [(iv.start_frame, iv.end_frame) for iv in intervals], dtype=np.int64
-    ).reshape(-1, 2)
+    pairs = [(iv.start_frame, iv.end_frame) for iv in intervals]
+    last = max((end for _, end in pairs), default=0)
+    if last >= FRAME_LIMIT:
+        raise DomainError(f"frame index {last} is not below 2**62")
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _to_columns(video_id, intervals) -> IntervalColumns:
+    """Columns of a list of ActionIntervals, under the instance reader's rules."""
+    intervals = list(intervals)
+    class_ids = [iv.class_id for iv in intervals]
+    scores = [iv.score for iv in intervals]
+    if not fits_int64(class_ids):
+        raise DomainError(f"class_id beyond int64 in video {video_id}")
+    if not all_finite(scores):
+        raise DomainError(f"non-finite score in video {video_id}")
+    return IntervalColumns.from_fields(
+        _spans(intervals), class_ids, scores, [iv.truncated for iv in intervals]
+    )
+
+
+def _columns(videos: Mapping) -> dict[str, IntervalColumns]:
+    """Each video's intervals as columns, converting lists once at entry."""
+    return {
+        video_id: v if isinstance(v, IntervalColumns) else _to_columns(video_id, v)
+        for video_id, v in videos.items()
+    }
 
 
 def _overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -128,10 +164,11 @@ def f1_at_tiou(
     if not (0.0 < threshold <= 1.0):
         raise DomainError(f"threshold must be in (0, 1], got {threshold}")
     _check_shared_videos(preds, gts)
+    preds, gts = _columns(preds), _columns(gts)
     report = MatchReport()
     for video_id in sorted(set(preds) | set(gts)):
-        vp = _spans(preds.get(video_id, ()))
-        vg = _spans(gts.get(video_id, ()))
+        vp = preds[video_id].spans if video_id in preds else _NO_SPANS
+        vg = gts[video_id].spans if video_id in gts else _NO_SPANS
         report.num_pred += len(vp)
         report.num_gt += len(vg)
         if not len(vp) or not len(vg):
@@ -172,44 +209,89 @@ def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
     return float(np.sum((mrec[idx] - mrec[idx - 1]) * mprec[idx]))
 
 
-def _ranked_flags(ranked, gts, gain, floors) -> np.ndarray:
+def _pairs_by_start(gt_starts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(row, col) of every ground truth col that starts in [lo[row], hi[row]].
+
+    One sort of the starts makes each row's window a slice of that order;
+    rows come out ascending, and cols by start within a row.
+    """
+    order = np.argsort(gt_starts, kind="stable")
+    sorted_starts = gt_starts[order]
+    first = np.searchsorted(sorted_starts, lo, side="left")
+    counts = np.searchsorted(sorted_starts, hi, side="right") - first
+    rows = np.repeat(np.arange(len(lo)), counts)
+    # Pair i is slot i - (pairs before its row) of its row's window.
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return rows, order[np.arange(len(rows)) + shift]
+
+
+def _iou_candidates(pred_spans, gt_spans, lowest):
+    """(row, col, IoU) of the pairs whose IoU reaches lowest > 0.
+
+    Such a pair shares a frame, so the ground truth starts by the
+    prediction's end and at most the longest ground truth before its start.
+    """
+    longest = int((gt_spans[:, 1] - gt_spans[:, 0]).max())
+    rows, cols = _pairs_by_start(
+        gt_spans[:, 0], pred_spans[:, 0] - longest, pred_spans[:, 1]
+    )
+    p, g = pred_spans[rows], gt_spans[cols]
+    inter = np.minimum(p[:, 1], g[:, 1]) - np.maximum(p[:, 0], g[:, 0]) + 1
+    # The same expression as _overlap_matrix, so equal IoUs stay equal.
+    iou = inter / ((p[:, 1] - p[:, 0] + 1) + (g[:, 1] - g[:, 0] + 1) - inter)
+    keep = iou >= lowest
+    # Reversed columns: of equal IoUs, interval mAP matches the last ground
+    # truth, so the matcher's first column must be the last one.
+    return rows[keep], len(gt_spans) - 1 - cols[keep], iou[keep]
+
+
+def _start_candidates(pred_spans, gt_spans, lowest):
+    """(row, col, -start distance) of the pairs within -lowest frames."""
+    # Distances between frames below FRAME_LIMIT are below it too.
+    reach = int(min(-lowest, FRAME_LIMIT))
+    starts = pred_spans[:, 0]
+    rows, cols = _pairs_by_start(gt_spans[:, 0], starts - reach, starts + reach)
+    dist = np.abs(starts[rows] - gt_spans[cols, 0])
+    return rows, cols, -dist.astype(np.float64)
+
+
+def _ranked_flags(videos, spans, gts, candidates, floors) -> np.ndarray:
     """Greedy hit flags of score-ranked predictions, one row per floor.
 
-    ``ranked`` holds (video id, prediction) in rank order and ``gts`` maps
-    video ids to ground truth.  ``gain(pred spans, gt spans)`` scores every
-    pair of one video, larger being better.  In rank order, each prediction
-    takes the unmatched ground truth of its video with the largest gain (the
-    first on ties) and is a hit if that gain reaches the floor.
+    ``videos`` and ``spans`` hold each prediction's video index and span in
+    rank order, and ``gts[video index]`` the ground-truth spans.
+    ``candidates(pred spans, gt spans, lowest floor)`` gives the (row, col,
+    gain) pairs of one video whose gain, larger being better, reaches the
+    lowest floor.  In rank order, each prediction takes the unmatched ground
+    truth of its video with the largest gain (the first column on ties) and
+    is a hit if that gain reaches the floor.
 
-    Once per video, each row keeps only its candidate columns, those whose
-    gain reaches the lowest floor, ordered by gain descending and then by
-    column; every floor then walks those short lists.
+    Once per video, each row's candidates are ordered by gain descending and
+    then by column; every floor then walks those short lists.
     """
-    flags = np.zeros((len(floors), len(ranked)), dtype=bool)
-    positions: dict[str, list[int]] = {}
-    for at, (video_id, _) in enumerate(ranked):
-        positions.setdefault(video_id, []).append(at)
+    flags = np.zeros((len(floors), len(spans)), dtype=bool)
     lowest = min(floors)
-    for video_id, at in positions.items():
-        if not gts.get(video_id):
+    by_video = np.argsort(videos, kind="stable")
+    cuts = np.flatnonzero(np.diff(videos[by_video])) + 1
+    for at in np.split(by_video, cuts):
+        if not len(at) or not len(gts[videos[at[0]]]):
             continue
-        gains = gain(_spans([ranked[i][1] for i in at]), _spans(gts[video_id]))
-        rows, cols = np.nonzero(gains >= lowest)
-        cand_gains = gains[rows, cols]
-        order = np.lexsort((cols, -cand_gains, rows))
-        pairs = list(zip(cand_gains[order].tolist(), cols[order].tolist()))
-        # nonzero lists rows in ascending order: each row's pairs are a slice.
+        rows, cols, gains = candidates(spans[at], gts[videos[at[0]]], lowest)
+        order = np.lexsort((cols, -gains, rows))
+        rows = rows[order]
+        pairs = list(zip(gains[order].tolist(), cols[order].tolist()))
+        # Rows are ascending: each row's pairs are a slice.
         bounds = np.searchsorted(rows, np.arange(len(at) + 1)).tolist()
-        candidates = [
-            (at[row], pairs[lo:hi])
-            for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        row_pairs = [
+            (pos, pairs[lo:hi])
+            for pos, lo, hi in zip(at.tolist(), bounds, bounds[1:])
             if lo < hi
         ]
         for hits, floor in zip(flags, floors):
             taken: set[int] = set()
             hit_at = []
-            for pos, row_pairs in candidates:
-                for g, col in row_pairs:
+            for pos, pos_pairs in row_pairs:
+                for g, col in pos_pairs:
                     if g < floor:
                         break
                     if col not in taken:
@@ -220,18 +302,7 @@ def _ranked_flags(ranked, gts, gain, floors) -> np.ndarray:
     return flags
 
 
-def _iou_gain(pred_spans: np.ndarray, gt_spans: np.ndarray) -> np.ndarray:
-    # Reversed columns: of equal IoUs, interval mAP matches the last ground
-    # truth, so the matcher's first maximum must be the last column.
-    return _overlap_matrix(pred_spans, gt_spans[::-1])
-
-
-def _start_gain(pred_spans: np.ndarray, gt_spans: np.ndarray) -> np.ndarray:
-    dist = np.abs(pred_spans[:, None, 0] - gt_spans[None, :, 0])
-    return -dist.astype(np.float64)
-
-
-def _ap_per_class(preds, gts, gain, floors):
+def _ap_per_class(preds, gts, candidates, floors):
     """Score-ranked AP of every class that has ground truth, at each floor.
 
     Returns {floor: {class: AP}}, {floor: mean over those classes, 0.0 when
@@ -240,31 +311,48 @@ def _ap_per_class(preds, gts, gain, floors):
     none; a side that mixes the two is rejected.
     """
     _check_shared_videos(preds, gts)
+    preds, gts = _columns(preds), _columns(gts)
     pooled = False
     for side, videos in (("predictions", preds), ("ground truth", gts)):
-        has_class = {iv.class_id is not None for vs in videos.values() for iv in vs}
+        has_class = {
+            flag for v in videos.values() for flag in np.unique(~v.classless).tolist()
+        }
         if len(has_class) > 1:
             raise DomainError(f"{side} mix intervals with and without class_id")
         pooled |= has_class == {False}
-    ranked = []
-    for video_id in sorted(preds):
-        for p in preds[video_id]:
-            if p.score is None:
-                raise DomainError(f"prediction without score in video {video_id}")
-            ranked.append((video_id, p))
-    # Score descending; earlier start, then (video, index) order: the sort is stable.
-    ranked.sort(key=lambda rec: (-rec[1].score, rec[1].start_frame))
-    gt_by_class: dict = {}
-    for video_id, vg in gts.items():
-        for g in vg:
-            c = None if pooled else g.class_id
-            gt_by_class.setdefault(c, {}).setdefault(video_id, []).append(g)
+    video_ids = sorted(preds)
+    for video_id in video_ids:
+        if preds[video_id].scoreless.any():
+            raise DomainError(f"prediction without score in video {video_id}")
+    ranked = [preds[video_id] for video_id in video_ids]
+    videos = np.repeat(np.arange(len(ranked)), [len(v) for v in ranked])
+    spans = np.concatenate([v.spans for v in ranked] or [_NO_SPANS])
+    scores = np.concatenate([v.scores for v in ranked] or [np.empty(0)])
+    classes = np.concatenate([v.class_ids for v in ranked] or [np.empty(0, np.int64)])
+    # Score descending, then earlier start; lexsort is stable, so ties keep
+    # (video, index) order.
+    rank = np.lexsort((spans[:, 0], -scores))
+    videos, spans, classes = videos[rank], spans[rank], classes[rank]
+    gt_classes = np.unique(
+        np.concatenate([v.class_ids for v in gts.values()] or [np.empty(0, np.int64)])
+    ).tolist()
+    if pooled and gt_classes:
+        gt_classes = [None]
     per_class: dict = {floor: {} for floor in floors}
-    for c in sorted(gt_by_class):
-        class_gts = gt_by_class[c]
-        num_gt = sum(len(v) for v in class_gts.values())
-        class_ranked = [(vid, p) for vid, p in ranked if pooled or p.class_id == c]
-        flags = _ranked_flags(class_ranked, class_gts, gain, list(per_class))
+    for c in gt_classes:
+        class_gts = {
+            video_id: v.spans if c is None else v.spans[v.class_ids == c]
+            for video_id, v in gts.items()
+        }
+        num_gt = sum(map(len, class_gts.values()))
+        chosen = slice(None) if c is None else classes == c
+        flags = _ranked_flags(
+            videos[chosen],
+            spans[chosen],
+            [class_gts.get(video_id, _NO_SPANS) for video_id in video_ids],
+            candidates,
+            list(per_class),
+        )
         for by_class, hits in zip(per_class.values(), flags):
             by_class[c] = average_precision(hits, num_gt)
     means = {
@@ -310,7 +398,7 @@ def interval_map(
         raise DomainError("no IoU thresholds given")
     if not all(0.0 < thr <= 1.0 for thr in thresholds):
         raise DomainError(f"IoU thresholds must be in (0, 1], got {list(thresholds)}")
-    return APReport(*_ap_per_class(preds, gts, _iou_gain, thresholds))
+    return APReport(*_ap_per_class(preds, gts, _iou_candidates, thresholds))
 
 
 @dataclass
@@ -337,8 +425,8 @@ def point_map(
     rule: classwise mean when every interval has a class_id, one pooled AP
     when either side has none, and a side that mixes the two is rejected.
     """
-    if not offsets or any(o <= 0 for o in offsets):
-        raise DomainError("offsets must be positive")
+    if not offsets or not all(0 < o < math.inf for o in offsets):
+        raise DomainError(f"offsets must be positive and finite, got {list(offsets)}")
     # A start within `offset` frames is a gain of at least -offset.
-    _, means, mean = _ap_per_class(preds, gts, _start_gain, [-o for o in offsets])
+    _, means, mean = _ap_per_class(preds, gts, _start_candidates, [-o for o in offsets])
     return PointAPReport({int(-floor): m for floor, m in means.items()}, mean)

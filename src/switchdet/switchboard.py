@@ -9,6 +9,8 @@ into intervals online with one frame of latency on the closing edge.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +70,85 @@ class ActionInterval:
     @property
     def num_frames(self) -> int:
         return self.end_frame - self.start_frame + 1
+
+
+# Frame indices of columnar intervals stay below this bound, so a span's
+# length and the sum of two lengths fit int64.
+FRAME_LIMIT = 2**62
+
+
+# filter(None, ...) skips null values, and zeros, which pass both rules.
+def fits_int64(values) -> bool:
+    """Whether every non-null integer fits int64, as class ids must."""
+    return (min(filter(None, values), default=0) >= -(2**63)
+            and max(filter(None, values), default=0) < 2**63)
+
+
+def all_finite(values) -> bool:
+    """Whether every non-null number is finite as a float, as scores must be."""
+    try:
+        return all(map(math.isfinite, filter(None, values)))
+    except OverflowError:  # an integer beyond float
+        return False
+
+
+class IntervalColumns(Sequence):
+    """Read-only columns of one video's intervals; items are ActionIntervals.
+
+    ``spans`` is an (n, 2) int64 array of inclusive [start, end] frames.  A
+    classless interval has ``classless`` set and a placeholder class id of 0,
+    since a class id may be any int64; a scoreless one has ``scoreless`` set
+    and a NaN score.
+    """
+
+    __slots__ = ("spans", "class_ids", "classless", "scores", "scoreless", "truncated")
+
+    def __init__(self, spans, class_ids, classless, scores, scoreless, truncated):
+        columns = (spans, class_ids, classless, scores, scoreless, truncated)
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def from_fields(cls, spans, class_ids, scores, truncated) -> IntervalColumns:
+        """Columns of checked field values; None marks a missing class or score."""
+        return cls(
+            spans,
+            np.array([0 if c is None else c for c in class_ids], dtype=np.int64),
+            np.array([c is None for c in class_ids], dtype=bool),
+            np.array([math.nan if s is None else s for s in scores], dtype=np.float64),
+            np.array([s is None for s in scores], dtype=bool),
+            np.array(truncated, dtype=bool),
+        )
+
+    def select(self, rows) -> IntervalColumns:
+        """The intervals at ``rows``, a slice or an index array."""
+        return IntervalColumns(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __getitem__(self, index: int) -> ActionInterval:
+        start, end = self.spans[index].tolist()
+        return ActionInterval(
+            start,
+            end,
+            None if self.classless[index] else int(self.class_ids[index]),
+            None if self.scoreless[index] else float(self.scores[index]),
+            bool(self.truncated[index]),
+        )
+
+    def __iter__(self):
+        class_ids = [
+            None if classless else c
+            for c, classless in zip(self.class_ids.tolist(), self.classless.tolist())
+        ]
+        scores = [
+            None if scoreless else s
+            for s, scoreless in zip(self.scores.tolist(), self.scoreless.tolist())
+        ]
+        return map(ActionInterval, self.spans[:, 0].tolist(), self.spans[:, 1].tolist(),
+                   class_ids, scores, self.truncated.tolist())
 
 
 @dataclass

@@ -448,6 +448,29 @@ def test_eval_rejects_non_string_video_id(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval-f1", "eval-map", "eval-odas"])
+@pytest.mark.parametrize("side", ["--preds", "--gts"])
+@pytest.mark.parametrize("fields", [
+    {"end": 10**23},  # beyond int64
+    {"score": float("nan")},  # written as the NaN token
+    {"score": float("inf")},  # written as the Infinity token
+], ids=["huge-frame", "nan-score", "infinity-score"])
+def test_eval_rejects_values_beyond_the_columns(tmp_path, capsys, command, side, fields):
+    paths = {"--preds": tmp_path / "p.jsonl", "--gts": tmp_path / "gt.jsonl"}
+    good = {"video_id": "v", "start": 1, "end": 5, "class_id": 1, "score": 0.9,
+            "truncated": False}
+    for path in paths.values():
+        path.write_text(json.dumps(good) + "\n")
+    bad = paths[side]
+    bad.write_text(json.dumps(good) + "\n" + json.dumps(good | fields) + "\n")
+    out = tmp_path / "report.json"
+    extra = ["--fps", 2.0] if command == "eval-odas" else []
+    assert run(command, "--preds", paths["--preds"], "--gts", paths["--gts"], *extra,
+               "--out", out) == 2
+    assert f"{bad}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestParserReuse:
     """main builds its parser once per process; no call may leak into the next.
 

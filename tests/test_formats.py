@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
 from switchdet.formats import (
@@ -10,7 +12,7 @@ from switchdet.formats import (
     write_instances,
     write_state_sequence,
 )
-from switchdet.switchboard import ActionInterval, SwitchConfig
+from switchdet.switchboard import FRAME_LIMIT, ActionInterval, SwitchConfig
 
 
 def test_instances_round_trip(tmp_path):
@@ -222,3 +224,186 @@ def test_instances_round_trip_every_field(tmp_path):
 def _fields(inst):
     return (inst.start_frame, inst.end_frame, inst.class_id, inst.score,
             inst.truncated)
+
+
+# Records are checked column by column; the per-record reader that did it
+# before is kept here as the reference for what is valid and for every
+# message.
+
+
+def reference_instance_from_record(rec):
+    try:
+        video_id, start, end = rec["video_id"], rec["start"], rec["end"]
+        class_id = rec.get("class_id")
+        score = rec.get("score")
+        truncated = rec.get("truncated", False)
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"bad instance record {rec!r}: {exc}") from exc
+    if type(video_id) is not str:
+        problem = "video_id must be a string"
+    elif type(start) is not int or type(end) is not int:
+        problem = "start and end must be integers"
+    elif class_id is not None and type(class_id) is not int:
+        problem = "class_id must be an integer or null"
+    elif score is not None and type(score) is not float and type(score) is not int:
+        problem = "score must be a number or null"
+    elif type(truncated) is not bool:
+        problem = "truncated must be true or false"
+    else:
+        problem = None
+    if problem:
+        raise DomainError(f"bad instance record {rec!r}: {problem}")
+    if type(score) is int:
+        score = float(score)
+    return video_id, ActionInterval(start, end, class_id, score, truncated)
+
+
+def reference_read_instances(path):
+    videos = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec, end = json.JSONDecoder().raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            try:
+                video_id, inst = reference_instance_from_record(rec)
+            except DomainError as exc:
+                raise DomainError(f"{path}:{line_no}: {exc}") from exc
+            videos.setdefault(video_id, []).append(inst)
+    return videos
+
+
+def _typed_fields(inst):
+    return _fields(inst) + (type(inst.score),)
+
+
+_frames = st.one_of(st.integers(0, 60), st.integers(0, FRAME_LIMIT - 1))
+valid_records = st.builds(
+    lambda video_id, start, length, optional: {
+        "video_id": video_id, "start": start,
+        "end": min(start + length, FRAME_LIMIT - 1), **optional},
+    st.sampled_from(["a", "b", "", "video 7"]),
+    _frames,
+    st.integers(0, 30),
+    st.fixed_dictionaries({}, optional={
+        "class_id": st.none() | st.integers(-(2**63), 2**63 - 1),
+        "score": st.none()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(10**30), 10**30),
+        "truncated": st.booleans(),
+    }),
+)
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(valid_records, max_size=25), blank=st.lists(st.booleans()))
+def test_reader_equals_per_record_reference(tmp_path_factory, records, blank):
+    path = tmp_path_factory.mktemp("valid") / "inst.jsonl"
+    lines = []
+    for rec, gap in zip(records, blank + [False] * len(records)):
+        lines += ["  ", json.dumps(rec)] if gap else [json.dumps(rec)]
+    _write_lines(path, lines)
+    got, want = read_instances(path), reference_read_instances(path)
+    assert list(got) == list(want)
+    for video_id, insts in want.items():
+        assert len(got[video_id]) == len(insts)
+        assert [_typed_fields(a) for a in got[video_id]] == [_typed_fields(a) for a in insts]
+        assert [_typed_fields(got[video_id][i]) for i in range(len(insts))] == [
+            _typed_fields(a) for a in insts]
+
+
+# Values that break exactly one of the reference's rules, field by field, and
+# whole lines that are not one valid record.
+_BAD_FIELDS = {
+    "video_id": [5, None, ["v"], 1.5, True],
+    "start": [3.7, 3.0, True, "3", None, -1, -(10**30), 9**40],
+    "end": [9.9, False, "9", [9], 0, -5],
+    "class_id": [1.5, True, "1", [1]],
+    "score": [True, "0.5", [0.5], {}],
+    "truncated": ["false", 0, None, 1.0],
+}
+_BAD_LINES = ["[1, 2]", '"v"', "5", "null", "{}", '{"video_id": "v", "start": 3}',
+              '{"start": 1, "end": 2}', "{not json}", '{"video_id": "v"} x', "{} {}", "[", ","]
+bad_lines = st.one_of(
+    st.sampled_from(_BAD_LINES),
+    st.builds(
+        lambda rec, fields: json.dumps(rec | fields),
+        valid_records,
+        st.dictionaries(st.sampled_from(sorted(_BAD_FIELDS)), st.just(None), min_size=1)
+        .flatmap(lambda keys: st.fixed_dictionaries(
+            {k: st.sampled_from(_BAD_FIELDS[k]) for k in keys})),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(good=st.lists(valid_records, max_size=8), bad=st.lists(bad_lines, min_size=1, max_size=3),
+       data=st.data())
+def test_reader_raises_the_reference_message(tmp_path_factory, good, bad, data):
+    lines = [json.dumps(rec) for rec in good]
+    for line in bad:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    path = tmp_path_factory.mktemp("invalid") / "inst.jsonl"
+    _write_lines(path, lines)
+    try:
+        reference_read_instances(path)
+    except DomainError as exc:
+        want = str(exc)
+    else:  # e.g. an inverted "bad" end that lands after its start
+        return
+    with pytest.raises(DomainError) as info:
+        read_instances(path)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        ({"end": 10**23}, "start and end must be below 2**62"),
+        ({"start": FRAME_LIMIT, "end": FRAME_LIMIT}, "start and end must be below 2**62"),
+        ({"class_id": 2**63}, "class_id must fit int64"),
+        ({"class_id": -(2**63) - 1}, "class_id must fit int64"),
+        ({"score": float("nan")}, "score must be finite"),
+        ({"score": float("inf")}, "score must be finite"),
+        ({"score": -float("inf")}, "score must be finite"),
+        ({"score": 10**400}, "score must be finite"),
+    ],
+)
+def test_reader_rejects_values_beyond_the_columns(tmp_path, fields, problem):
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [GOOD_LINE, json.dumps(json.loads(GOOD_LINE) | fields), GOOD_LINE])
+    with pytest.raises(DomainError) as info:
+        read_instances(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:2: bad instance record ")
+    assert message.endswith(f": {problem}")
+
+
+def test_reader_accepts_the_extreme_values(tmp_path):
+    path = tmp_path / "edge.jsonl"
+    rec = json.loads(GOOD_LINE) | {"start": 0, "end": FRAME_LIMIT - 1, "class_id": -(2**63),
+                                   "score": 1.7976931348623157e308}
+    _write_lines(path, [json.dumps(rec), json.dumps(rec | {"class_id": 2**63 - 1})])
+    back = read_instances(path)["v"]
+    assert back.spans.tolist() == [[0, FRAME_LIMIT - 1]] * 2
+    assert back.class_ids.tolist() == [-(2**63), 2**63 - 1]
+    assert [i.class_id for i in back] == [-(2**63), 2**63 - 1]
+
+
+def test_reader_columns_are_read_only(tmp_path):
+    path = tmp_path / "inst.jsonl"
+    write_instances(path, {"v": [ActionInterval(3, 9, class_id=1, score=0.5)]})
+    back = read_instances(path)["v"]
+    with pytest.raises(ValueError):
+        back.spans[0, 0] = 4
+    assert back[-1].span == (3, 9)

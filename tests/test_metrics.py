@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
 from switchdet.metrics import (
@@ -683,3 +685,167 @@ class TestIntervalMapThresholds:
         gts = {"v": [iv(0, 9, class_id=0)]}
         preds = {"v": [iv(0, 9, class_id=0, score=0.9)]}
         assert interval_map(preds, gts, [1.0]).average_map == 1.0
+
+
+# The dense matcher that the sorted-sweep candidate search replaced, kept as
+# a reference: every (prediction, ground truth) gain of a video in one
+# matrix, per class.
+
+
+def dense_iou_gain(pred_spans, gt_spans):
+    return _overlap_matrix(pred_spans, gt_spans[::-1])
+
+
+def dense_start_gain(pred_spans, gt_spans):
+    dist = np.abs(pred_spans[:, None, 0] - gt_spans[None, :, 0])
+    return -dist.astype(np.float64)
+
+
+def dense_ranked_flags(ranked, gts, gain, floors):
+    flags = np.zeros((len(floors), len(ranked)), dtype=bool)
+    positions = {}
+    for at, (video_id, _) in enumerate(ranked):
+        positions.setdefault(video_id, []).append(at)
+    lowest = min(floors)
+    for video_id, at in positions.items():
+        if not gts.get(video_id):
+            continue
+        gains = gain(_spans([ranked[i][1] for i in at]), _spans(gts[video_id]))
+        rows, cols = np.nonzero(gains >= lowest)
+        cand_gains = gains[rows, cols]
+        order = np.lexsort((cols, -cand_gains, rows))
+        pairs = list(zip(cand_gains[order].tolist(), cols[order].tolist()))
+        bounds = np.searchsorted(rows, np.arange(len(at) + 1)).tolist()
+        candidates = [
+            (at[row], pairs[lo:hi])
+            for row, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if lo < hi
+        ]
+        for hits, floor in zip(flags, floors):
+            taken = set()
+            hit_at = []
+            for pos, row_pairs in candidates:
+                for g, col in row_pairs:
+                    if g < floor:
+                        break
+                    if col not in taken:
+                        taken.add(col)
+                        hit_at.append(pos)
+                        break
+            hits[hit_at] = True
+    return flags
+
+
+def dense_ap_per_class(preds, gts, gain, floors):
+    pooled = False
+    for videos in (preds, gts):
+        has_class = {iv.class_id is not None for vs in videos.values() for iv in vs}
+        pooled |= has_class == {False}
+    ranked = [(video_id, p) for video_id in sorted(preds) for p in preds[video_id]]
+    ranked.sort(key=lambda rec: (-rec[1].score, rec[1].start_frame))
+    gt_by_class = {}
+    for video_id, vg in gts.items():
+        for g in vg:
+            c = None if pooled else g.class_id
+            gt_by_class.setdefault(c, {}).setdefault(video_id, []).append(g)
+    per_class = {floor: {} for floor in floors}
+    for c in sorted(gt_by_class):
+        class_gts = gt_by_class[c]
+        num_gt = sum(len(v) for v in class_gts.values())
+        class_ranked = [(vid, p) for vid, p in ranked if pooled or p.class_id == c]
+        flags = dense_ranked_flags(class_ranked, class_gts, gain, list(per_class))
+        for by_class, hits in zip(per_class.values(), flags):
+            by_class[c] = average_precision(hits, num_gt)
+    means = {
+        floor: float(np.mean(list(by_class.values()))) if by_class else 0.0
+        for floor, by_class in per_class.items()
+    }
+    return per_class, means, float(np.mean(list(means.values())))
+
+
+@st.composite
+def scored_videos(draw):
+    """Ground truth and scored predictions of a few videos, dense with ties:
+    equal scores, starts and IoUs on a coarse grid, single-frame intervals,
+    and classes that only one side has."""
+    length = draw(st.sampled_from([40, 150]))
+    classless = draw(st.sampled_from(["neither", "preds", "gts"]))
+
+    def stream(scored, classes):
+        out = []
+        for _ in range(draw(st.integers(0, 14))):
+            start = draw(st.integers(0, length // 5)) * 5 + draw(st.sampled_from([0, 0, 1, 3]))
+            end = start + draw(st.sampled_from([0, 0, 4, 9, 14, draw(st.integers(0, 40))]))
+            kw = {"class_id": draw(st.sampled_from(classes)) if classes else None}
+            if scored:
+                kw["score"] = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]))
+            out.append(iv(start, end, **kw))
+        return out
+
+    gts, preds = {}, {}
+    for v in range(draw(st.integers(1, 3))):
+        gts[f"v{v}"] = stream(False, None if classless == "gts" else [0, 1, 2])
+        preds[f"v{v}"] = stream(True, None if classless == "preds" else [1, 2, 3])
+    if draw(st.booleans()):
+        preds["only_preds"] = stream(True, None if classless == "preds" else [0, 1])
+    return preds, gts
+
+
+@settings(max_examples=100, deadline=None)
+@given(videos=scored_videos())
+def test_interval_map_equals_dense_reference(videos):
+    preds, gts = videos
+    thresholds = [0.1, 0.3, 0.5, 0.7, 1.0]
+    got = interval_map(preds, gts, thresholds)
+    per_class, means, mean = dense_ap_per_class(preds, gts, dense_iou_gain, thresholds)
+    assert (got.per_class_ap, got.map_per_threshold, got.average_map) == (
+        per_class, means, mean)
+
+
+@settings(max_examples=100, deadline=None)
+@given(videos=scored_videos())
+def test_point_map_equals_dense_reference(videos):
+    preds, gts = videos
+    offsets = [1, 4, 10, 2.5]
+    got = point_map(preds, gts, offsets)
+    _, means, mean = dense_ap_per_class(preds, gts, dense_start_gain, [-o for o in offsets])
+    assert got.per_offset == {int(-floor): m for floor, m in means.items()}
+    assert got.mean == mean
+
+
+class TestEntryConversion:
+    """Library callers' intervals pass the checks of the instance reader."""
+
+    @pytest.mark.parametrize("metric", [
+        lambda p, g: f1_at_tiou(p, g, 0.5),
+        lambda p, g: interval_map(p, g, [0.5]),
+        lambda p, g: point_map(p, g, [3]),
+    ], ids=["f1", "interval_map", "point_map"])
+    @pytest.mark.parametrize("bad, match", [
+        (iv(0, 10**23, class_id=0, score=0.9), "not below 2\\*\\*62"),
+        (iv(2**62, 2**62, class_id=0, score=0.9), "not below 2\\*\\*62"),
+        (iv(0, 9, class_id=0, score=float("nan")), "non-finite score"),
+        (iv(0, 9, class_id=0, score=float("inf")), "non-finite score"),
+        (iv(0, 9, class_id=0, score=10**400), "non-finite score"),
+        (iv(0, 9, class_id=2**63, score=0.9), "class_id beyond int64"),
+    ], ids=["huge-end", "end-at-limit", "nan-score", "inf-score", "huge-int-score",
+            "huge-class"])
+    def test_rejects_values_beyond_the_columns(self, metric, bad, match):
+        gts = {"v": [iv(0, 9, class_id=0)]}
+        with pytest.raises(DomainError, match=match):
+            metric({"v": [iv(0, 9, class_id=0, score=0.5), bad]}, gts)
+        with pytest.raises(DomainError, match=match):
+            metric({"v": [iv(0, 9, class_id=0, score=0.5)]}, {"v": [bad]})
+
+    def test_largest_frames_score_exactly(self):
+        top = 2**62 - 1
+        gts = {"v": [iv(0, top, class_id=0), iv(top, top, class_id=0)]}
+        preds = {"v": [iv(0, top, class_id=0, score=0.9), iv(top, top, class_id=0, score=0.8)]}
+        assert f1_at_tiou(preds, gts, 1.0).tp == 2
+        assert interval_map(preds, gts, [1.0]).average_map == 1.0
+        assert point_map(preds, gts, [1]).mean == 1.0
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
+    def test_rejects_non_finite_offset(self, offset):
+        with pytest.raises(DomainError, match="positive and finite"):
+            point_map({}, {"v": [iv(0, 9)]}, [3, offset])

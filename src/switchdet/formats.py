@@ -46,11 +46,20 @@ def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
 
 
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
-    """Write per-video instance lists as JSON Lines, sorted for reproducibility."""
+    """Write per-video instance lists as JSON Lines, sorted for reproducibility.
+
+    A value read_instances would reject (_VALUE_RULES) is a DomainError
+    raised before the file is opened.
+    """
+    records = [instance_to_record(video_id, inst) for video_id in sorted(videos)
+               for inst in sorted(videos[video_id], key=lambda a: a.span)]
+    for field, ok, text in _VALUE_RULES:
+        if not ok([rec[field] for rec in records]):
+            rec = next(rec for rec in records if not ok([rec[field]]))
+            raise DomainError(f"{path}: bad instance record {rec!r}: {text}")
+    lines = [json.dumps(rec) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8") as fh:
-        for video_id in sorted(videos):
-            for inst in sorted(videos[video_id], key=lambda a: a.span):
-                fh.write(json.dumps(instance_to_record(video_id, inst)) + "\n")
+        fh.writelines(lines)
 
 
 def read_instances(path) -> dict[str, IntervalColumns]:
@@ -83,6 +92,15 @@ def read_instances(path) -> dict[str, IntervalColumns]:
 
 
 _REQUIRED = operator.itemgetter("video_id", "start", "end")
+
+# The rules on values that JSON holds but the columns cannot, in the order
+# the reader checks them: (field, test of a whole column, message).  Ends
+# suffice for frames, since a start lies in [0, end].
+_VALUE_RULES = (
+    ("end", lambda ends: max(ends, default=0) < FRAME_LIMIT, "start and end must be below 2**62"),
+    ("class_id", fits_int64, "class_id must fit int64"),
+    ("score", all_finite, "score must be finite"),
+)
 
 
 def _lookup_error(rec) -> str | None:
@@ -147,10 +165,9 @@ def _check_records(path, recs, line_nos):
           lambda rec: f"negative start frame {rec['start']}", starts)
     check(lambda s, e: not any(map(operator.gt, s, e)),
           lambda rec: f"inverted interval [{rec['start']}, {rec['end']}]", starts, ends)
-    check(lambda e: max(e, default=0) < FRAME_LIMIT,
-          record("start and end must be below 2**62"), ends)
-    check(fits_int64, record("class_id must fit int64"), class_ids)
-    check(all_finite, record("score must be finite"), scores)
+    columns = {"end": ends, "class_id": class_ids, "score": scores}
+    for field, ok, text in _VALUE_RULES:
+        check(ok, record(text), columns[field])
     if problem:
         raise DomainError(f"{path}:{line_nos[first]}: {problem}")
     spans = np.stack([np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)], axis=1)

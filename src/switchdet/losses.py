@@ -10,6 +10,7 @@ constants when differentiating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,13 @@ from .exceptions import DomainError
 
 @dataclass
 class LossResult:
-    total: float
-    ce_part: float
-    cons_part: float
+    """A loss and its gradient; for a stack, each field holds one per model."""
+
+    total: float | np.ndarray
+    ce_part: float | np.ndarray
+    cons_part: float | np.ndarray
     grad: np.ndarray  # d(total)/d(logits), same shape as the logits
-    num_cc_positions: int
+    num_cc_positions: int | np.ndarray
 
 
 def _as_finite(x, name: str, ndim: int) -> np.ndarray:
@@ -54,55 +57,76 @@ def conservativeness_term(logits_t, prev_state: int) -> float:
     return float(-log_softmax(row)[prev_state])
 
 
-def sequence_loss_and_grad(logits, gt_states, alpha: float) -> LossResult:
+def sequence_loss_and_grad(logits, gt_states, alpha) -> LossResult:
     """Combined loss over one sequence and its exact gradient w.r.t. logits.
 
     ce_part averages cross entropy against gt_states over all T frames.
     cons_part averages the conservativeness penalty over the frames t >= 1
     where argmax(logits_t) != argmax(logits_{t-1}) (0 when there are none).
     total = ce_part + alpha * cons_part.
+
+    A stack of M models passes (M, T, S) logits and one alpha per model (or
+    one for all); every field of the result then holds one value per model,
+    each equal bit for bit to that model's own (T, S) call.
     """
-    if alpha < 0:
-        raise DomainError(f"negative alpha {alpha}")
-    rows = _as_finite(logits, "logits", ndim=2)
-    t, s = rows.shape
-    if t < 1:
+    rows = np.asarray(logits, dtype=np.float64)
+    if rows.ndim not in (2, 3):
+        raise DomainError(f"logits must be 2-d or 3-d, got shape {rows.shape}")
+    stack = _as_finite(rows[None] if rows.ndim == 2 else rows, "logits", ndim=3)
+    m, t, s = stack.shape
+    if not stack.size:
         raise DomainError("empty logit sequence")
+    alphas = np.asarray(alpha, dtype=np.float64)
+    if alphas.shape not in ((), (m,)) or (rows.ndim == 2 and alphas.ndim):
+        raise DomainError(f"alpha shape {alphas.shape} does not match {m} models")
+    if not (alphas.min() >= 0 and math.isfinite(alphas.max())):
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     y = np.asarray(gt_states, dtype=np.int64)
     if y.shape != (t,):
         raise DomainError(f"gt length {y.shape} does not match logits length {t}")
     if y.size and (y.min() < 0 or y.max() >= s):
         raise DomainError("ground-truth state out of range")
 
-    logp = log_softmax(rows)
+    # Every model's frames as rows of one (M * T, S) array: row model * T + t.
+    logp = log_softmax(stack).reshape(m * t, s)
     probs = np.exp(logp)
-    idx = np.arange(t)
+    frames = np.arange(m * t)
+    truth = np.tile(y, m)
 
-    ce_part = float(-logp[idx, y].mean())
+    # One model per row of the (M, T) picks, so each row's mean sums as a
+    # 1-D mean does.
+    ce_part = -logp[frames, truth].reshape(m, t).mean(axis=1)
     grad = probs.copy()
-    grad[idx, y] -= 1.0
+    grad[frames, truth] -= 1.0
     grad /= t
 
-    pred = rows.argmax(axis=1)  # ties resolve to the lowest index
-    cc = np.flatnonzero(pred[1:] != pred[:-1]) + 1
-    num_cc = int(cc.size)
-    if num_cc:
-        targets = pred[cc - 1]
-        cons_part = float(-logp[cc, targets].mean())
-        gcons = np.zeros_like(rows)
-        gcons[cc] = probs[cc]
-        gcons[cc, targets] -= 1.0
-        grad += (alpha / num_cc) * gcons
-    else:
-        cons_part = 0.0
+    pred = stack.argmax(axis=2).ravel()  # ties resolve to the lowest index
+    changed = pred[1:] != pred[:-1]
+    changed[t - 1 :: t] = False  # a model's first frame follows another model's last
+    cc = np.flatnonzero(changed) + 1
+    num_cc = np.bincount(cc // t, minlength=m)
+    targets = pred[cc - 1]
+    penalties = -logp[cc, targets]
+    # Each model's mean over its own positions, as its own call takes it.
+    stops = np.cumsum(num_cc).tolist()
+    cons_part = np.array([penalties[start:stop].mean() if stop > start else 0.0
+                          for start, stop in zip([0] + stops, stops)])
+    gcons = np.zeros_like(logp)
+    gcons[cc] = probs[cc]
+    gcons[cc, targets] -= 1.0
+    # gcons is zero off the change positions, so there (and for a model
+    # with none) this adds exactly +0.0, as the single-model code adds nothing.
+    scale = alphas / np.maximum(num_cc, 1)
+    grad += np.repeat(scale, t)[:, None] * gcons
+    grad = grad.reshape(m, t, s)
+    total = ce_part + alphas * cons_part
 
-    return LossResult(
-        total=ce_part + alpha * cons_part,
-        ce_part=ce_part,
-        cons_part=cons_part,
-        grad=grad,
-        num_cc_positions=num_cc,
-    )
+    if rows.ndim == 2:
+        return LossResult(total=float(total[0]), ce_part=float(ce_part[0]),
+                          cons_part=float(cons_part[0]), grad=grad[0],
+                          num_cc_positions=int(num_cc[0]))
+    return LossResult(total=total, ce_part=ce_part, cons_part=cons_part,
+                      grad=grad, num_cc_positions=num_cc)
 
 
 def batched_cc_loss(logits) -> float:

@@ -21,6 +21,7 @@ sorted sweep over ground-truth starts finds each prediction's candidates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -421,12 +422,19 @@ def point_map(
     """Average precision of action-start detection within a frame offset.
 
     A ranked prediction is a hit at offset o if an unmatched ground truth
-    of its class starts within o frames.  Classes follow interval_map's
+    of its class starts within o frames.  Offsets are distinct whole frame
+    counts, each a key of the report.  Classes follow interval_map's
     rule: classwise mean when every interval has a class_id, one pooled AP
     when either side has none, and a side that mixes the two is rejected.
     """
     if not offsets or not all(0 < o < math.inf for o in offsets):
         raise DomainError(f"offsets must be positive and finite, got {list(offsets)}")
+    fractional = [o for o in offsets if o != int(o)]
+    if fractional:
+        raise DomainError(f"offsets must be whole frame counts, got {fractional}")
+    repeated = sorted(o for o, n in Counter(map(int, offsets)).items() if n > 1)
+    if repeated:
+        raise DomainError(f"offsets must differ, got {repeated} more than once")
     # A start within `offset` frames is a gain of at least -offset.
     _, means, mean = _ap_per_class(preds, gts, _start_candidates, [-o for o in offsets])
     return PointAPReport({int(-floor): m for floor, m in means.items()}, mean)

@@ -73,7 +73,11 @@ class EpochStats:
 
 
 class Adam:
-    """Bias-corrected Adam over the scorer's parameter vector, in place."""
+    """Bias-corrected Adam over the scorer's parameter array, in place.
+
+    Every operation is elementwise, so a stack's (M, n) array steps each
+    model exactly as that model would step alone.
+    """
 
     def __init__(
         self, params: ScorerParams, lr, beta1=0.9, beta2=0.999, eps=1e-8
@@ -103,15 +107,16 @@ def _windows(params: ScorerParams, feats: np.ndarray, width: int):
 
     Each window starts from the hidden state the previous one ended in, with
     no gradient across the boundary.  Yields (rows, logits, cache), ``rows``
-    the window's slice of the stream.  The cell is looked up as
-    ``trainer.forward_sequence`` per window, so replacing it reaches both loops.
+    the window's slice of the stream; a stack of models walks the windows
+    together.  The cell is looked up as ``trainer.forward_sequence`` per
+    window, so replacing it reaches both loops.
     """
     h0 = None
     for start in range(0, len(feats), width):
         rows = slice(start, start + width)
         logits, cache = forward_sequence(params, feats[rows], h0)
         yield rows, logits, cache
-        h0 = cache.h[-1]
+        h0 = cache.h[..., -1, :]
 
 
 def train(
@@ -122,6 +127,20 @@ def train(
     Ground truth is encoded with the drop-newest policy, so videos whose
     overlap exceeds the switch count still train on what fits.
     """
+    params, (history,) = _train_stack(dataset, [config])
+    return params, history
+
+
+def _train_stack(
+    dataset: list[Video], configs: list[TrainConfig]
+) -> tuple[ScorerParams, list[list[EpochStats]]]:
+    """Train one model per config as one stack, over one walk of the windows.
+
+    The configs may differ only in alpha and seed.  Each model, and its
+    history, equals bit for bit what its config trains alone; one config
+    trains unstacked.
+    """
+    config = configs[0]
     if not any(len(feats) for feats, _ in dataset):
         raise DomainError("empty dataset: no frame to train on")
     switch_cfg = SwitchConfig(config.num_switches)
@@ -132,34 +151,47 @@ def train(
         labels, _ = encode_instances(insts, feats.shape[0], switch_cfg)
         encoded.append((feats, labels))
 
-    params = init_params(
-        feature_dim, config.hidden_dim, switch_cfg.num_states, config.seed
-    )
+    dims = (feature_dim, config.hidden_dim, switch_cfg.num_states)
+    flat = np.stack([init_params(*dims, c.seed).flat for c in configs])
+    alpha = np.array([c.alpha for c in configs])
+    if len(configs) == 1:
+        flat, alpha = flat[0], alpha[0]
+    params = ScorerParams(flat, *dims)
     opt = Adam(params, config.learning_rate)
 
-    history: list[EpochStats] = []
+    histories: list[list[EpochStats]] = [[] for _ in configs]
     for epoch in range(config.epochs):
-        totals, ces, conss = [], [], []
+        parts = []
         num_cc = 0
         for feats, labels in encoded:
             for rows, logits, cache in _windows(params, feats, config.bptt_len):
-                result = sequence_loss_and_grad(logits, labels[rows], config.alpha)
+                result = sequence_loss_and_grad(logits, labels[rows], alpha)
                 opt.step(params, backward_sequence(cache, result.grad))
-                totals.append(result.total)
-                ces.append(result.ce_part)
-                conss.append(result.cons_part)
+                parts.append((result.total, result.ce_part, result.cons_part))
                 num_cc += result.num_cc_positions
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                mean_total=float(np.mean(totals)),
-                mean_ce=float(np.mean(ces)),
-                mean_cons=float(np.mean(conss)),
-                num_cc_positions=num_cc,
-                num_windows=len(totals),
+        # (models, 3, windows), one C-contiguous row per model and part, so
+        # each mean sums as the mean of that model's own list would.
+        means = np.ascontiguousarray(np.reshape(parts, (len(parts), 3, -1)).T)
+        for history, (total, ce, cons), cc in zip(histories, means, np.reshape(num_cc, -1)):
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    mean_total=float(np.mean(total)),
+                    mean_ce=float(np.mean(ce)),
+                    mean_cons=float(np.mean(cons)),
+                    num_cc_positions=int(cc),
+                    num_windows=len(parts),
+                )
             )
-        )
-    return params, history
+    return params, histories
+
+
+def _argmax_states(params: ScorerParams, features) -> np.ndarray:
+    """Per-frame argmax state of each model, over INFER_WINDOW windows."""
+    states = np.empty(params.flat.shape[:-1] + (len(features),), dtype=np.int64)
+    for rows, logits, _ in _windows(params, features, INFER_WINDOW):
+        states[..., rows] = logits.argmax(axis=-1)
+    return states
 
 
 def infer_instances(
@@ -177,10 +209,7 @@ def infer_instances(
             f"checkpoint has {params.num_states} states, config expects "
             f"{config.num_states}"
         )
-    states = np.empty(len(features), dtype=np.int64)
-    for rows, logits, _ in _windows(params, features, INFER_WINDOW):
-        states[rows] = logits.argmax(axis=1)
-    return decode_sequence(states, config)
+    return decode_sequence(_argmax_states(params, features), config)
 
 
 @dataclass
@@ -216,29 +245,72 @@ def run_cell(
     A DomainError from training or evaluation gives a row with NaN metrics
     and the error message instead of being raised.
     """
+    return _run_stack(train_set, eval_set, [config], tiou_threshold)[0]
+
+
+def _run_stack(
+    train_set: list[Video],
+    eval_set: list[Video],
+    configs: list[TrainConfig],
+    tiou_threshold: float,
+) -> list[SweepRow]:
+    """run_cell for each of a stack's configs (same switch count), trained
+    and evaluated as one stack.
+
+    A stack raises if any one of its models does, so a stack that raises is
+    rerun one cell at a time: each row is then the row of its own run_cell.
+    """
     try:
-        params, _ = train(train_set, config)
-        switch_cfg = SwitchConfig(config.num_switches)
-        preds = {}
+        params, _ = _train_stack(train_set, configs)
+        switch_cfg = SwitchConfig(configs[0].num_switches)
+        preds: list[dict] = [{} for _ in configs]
         gts = {}
         for i, (feats, insts) in enumerate(eval_set):
             vid = f"eval{i:04d}"
-            preds[vid] = infer_instances(params, feats, switch_cfg)
+            states = np.reshape(_argmax_states(params, feats), (len(configs), -1))
+            for pred, row in zip(preds, states):
+                pred[vid] = decode_sequence(row, switch_cfg)
             gts[vid] = insts
-        report = f1_at_tiou(preds, gts, tiou_threshold)
+        reports = [f1_at_tiou(pred, gts, tiou_threshold) for pred in preds]
     except DomainError as exc:
-        outcome = dict(f1=math.nan, precision=math.nan, recall=math.nan,
-                       num_proposals=0, num_gt=0, error=str(exc))
+        if len(configs) > 1:
+            return [row for c in configs
+                    for row in _run_stack(train_set, eval_set, [c], tiou_threshold)]
+        outcomes = [dict(f1=math.nan, precision=math.nan, recall=math.nan,
+                         num_proposals=0, num_gt=0, error=str(exc))]
     else:
-        outcome = dict(f1=report.f1, precision=report.precision, recall=report.recall,
-                       num_proposals=report.num_pred, num_gt=report.num_gt)
-    return SweepRow(num_switches=config.num_switches, alpha=config.alpha,
-                    seed=config.seed, **outcome)
+        outcomes = [dict(f1=r.f1, precision=r.precision, recall=r.recall,
+                         num_proposals=r.num_pred, num_gt=r.num_gt) for r in reports]
+    return [SweepRow(num_switches=c.num_switches, alpha=c.alpha, seed=c.seed, **outcome)
+            for c, outcome in zip(configs, outcomes)]
+
+
+def _stacks(groups: list[list[TrainConfig]], at_least: int) -> list[list[TrainConfig]]:
+    """Split each group into consecutive stacks whose sizes differ by at most
+    one, with at least ``at_least`` stacks in all (``at_least`` is at most
+    the number of configs, so no stack is empty).
+
+    Each added stack goes to the group whose stacks are largest, the first
+    of those on a tie.
+    """
+    counts = [1] * len(groups)
+    while sum(counts) < at_least:
+        largest = max(range(len(groups)), key=lambda g: -(-len(groups[g]) // counts[g]))
+        counts[largest] += 1
+    stacks = []
+    for group, count in zip(groups, counts):
+        size, extra = divmod(len(group), count)
+        start = 0
+        for j in range(count):
+            stop = start + size + (j < extra)
+            stacks.append(group[start:stop])
+            start = stop
+    return stacks
 
 
 # The train set, eval set and tIoU threshold of a sweep pool worker.  The
 # pool's initializer sets them once in each worker, never in the calling
-# process, so that each task is one cell's TrainConfig.
+# process, so that each task is one stack's TrainConfigs.
 _worker_args: tuple[list[Video], list[Video], float] = ([], [], 0.5)
 
 
@@ -247,9 +319,9 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _run_worker_cell(config: TrainConfig) -> SweepRow:
+def _run_worker_stack(configs: list[TrainConfig]) -> list[SweepRow]:
     train_set, eval_set, tiou_threshold = _worker_args
-    return run_cell(train_set, eval_set, config, tiou_threshold)
+    return _run_stack(train_set, eval_set, configs, tiou_threshold)
 
 
 def sweep_alpha(
@@ -264,27 +336,34 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Train one model per (num_switches, alpha, seed) cell.
 
+    Cells with the same switch count train as stacks of models (see
+    _stacks), at least min(jobs, cells) stacks in all, one pool task per
+    stack; with min(jobs, cells) = 1 they run in this process.  Each row
+    equals, bit for bit, that of the cell trained alone.
+
     Each reported row is the componentwise median across seeds.  Failed
     cells come back with NaN metrics and their error message instead of
     aborting the whole sweep.  Rows are sorted by (num_switches, alpha).
     """
     if not alphas or not switch_counts or not seeds:
         raise DomainError("empty sweep grid")
-    configs = []
-    for k in sorted(switch_counts):
-        for alpha in sorted(alphas):
-            for seed in seeds:
-                configs.append(replace(base, num_switches=k, alpha=alpha, seed=seed))
-    workers = min(jobs, len(configs))
-    if workers > 1:
+    groups = [
+        [replace(base, num_switches=k, alpha=alpha, seed=seed)
+         for alpha in sorted(alphas) for seed in seeds]
+        for k in sorted(switch_counts)
+    ]
+    tasks = min(jobs, len(groups) * len(groups[0]))
+    stacks = _stacks(groups, tasks)
+    if tasks > 1:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=tasks,
             initializer=_init_worker,
             initargs=(train_set, eval_set, tiou_threshold),
         ) as pool:
-            results = list(pool.map(_run_worker_cell, configs))
+            results = [r for rows in pool.map(_run_worker_stack, stacks) for r in rows]
     else:
-        results = [run_cell(train_set, eval_set, c, tiou_threshold) for c in configs]
+        results = [r for stack in stacks
+                   for r in _run_stack(train_set, eval_set, stack, tiou_threshold)]
     for r in results:
         if r.error is not None:
             log.warning(

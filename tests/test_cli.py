@@ -857,6 +857,15 @@ def test_eval_odas_tiny_offset_is_one_frame(one_scored, tmp_path):
     assert json.loads(out.read_text())["p_ap"] == {"1": 1.0}
 
 
+def test_eval_odas_rejects_offsets_that_round_to_one_frame_count(one_scored, tmp_path, capsys):
+    preds, gts = one_scored
+    out = tmp_path / "odas.json"
+    assert run("eval-odas", "--preds", preds, "--gts", gts, "--fps", 1.0,
+               "--offsets-seconds", "1,1.4,3", "--out", out) == 2
+    assert "got [1] more than once" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "odas.json.manifest.json").exists()
+
+
 def test_eval_map_pools_classless_ground_truth(tmp_path):
     gts, preds = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
     write_instances(gts, {"v": [ActionInterval(10, 40), ActionInterval(50, 60)]})

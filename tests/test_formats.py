@@ -407,3 +407,48 @@ def test_reader_columns_are_read_only(tmp_path):
     with pytest.raises(ValueError):
         back.spans[0, 0] = 4
     assert back[-1].span == (3, 9)
+
+
+@pytest.mark.parametrize("inst, problem", [
+    (ActionInterval(0, 9, score=float("nan")), "score must be finite"),
+    (ActionInterval(0, 9, score=-float("inf")), "score must be finite"),
+    (ActionInterval(0, 9, score=10**400), "score must be finite"),
+    (ActionInterval(0, FRAME_LIMIT), "start and end must be below 2**62"),
+    (ActionInterval(0, 9, class_id=2**63), "class_id must fit int64"),
+])
+def test_writer_refuses_what_the_reader_rejects(tmp_path, inst, problem):
+    path = tmp_path / "inst.jsonl"
+    with pytest.raises(DomainError) as info:
+        write_instances(path, {"a": [ActionInterval(1, 2)], "b": [ActionInterval(3, 4), inst]})
+    assert str(info.value).startswith(f"{path}: bad instance record ")
+    assert str(info.value).endswith(f": {problem}")
+    assert not path.exists()
+
+
+writable_intervals = st.builds(
+    lambda start, length, class_id, score, truncated: ActionInterval(
+        start, start + length, class_id, score, truncated),
+    st.one_of(st.integers(0, 60), st.integers(0, 2**63)),
+    st.integers(0, 30),
+    st.none() | st.integers(-(2**64), 2**64),
+    st.none() | st.floats() | st.integers(-(10**400), 10**400),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(videos=st.dictionaries(st.sampled_from(["a", "b", ""]) | st.text(max_size=4),
+                              st.lists(writable_intervals, max_size=6), max_size=3))
+def test_reader_reads_back_whatever_the_writer_accepts(tmp_path_factory, videos):
+    path = tmp_path_factory.mktemp("written") / "inst.jsonl"
+    try:
+        write_instances(path, videos)
+    except DomainError:
+        assert not path.exists()
+        return
+    back = read_instances(path)
+    # The reader holds every score as a float.
+    want = {v: [_fields(a)[:3] + (None if a.score is None else float(a.score), a.truncated)
+                for a in sorted(insts, key=lambda a: a.span)]
+            for v, insts in videos.items() if insts}
+    assert {v: [_fields(a) for a in cols] for v, cols in back.items()} == want

@@ -35,6 +35,32 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def einsum_uses(source: str) -> list[int]:
+    """Lines that name ``einsum``: a call, an attribute or an import of it."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "einsum")
+        or (isinstance(node, ast.Name) and node.id == "einsum")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "einsum" for a in node.names))
+    })
+
+
+# np.einsum does not reproduce np.dot and np.matmul bit for bit, and a stack
+# of models must equal each model trained alone.
+@pytest.mark.parametrize("name", ["scorer.py", "losses.py", "trainer.py"])
+def test_numerics_never_use_einsum(name):
+    path = Path(switchdet.__file__).parent / name
+    assert einsum_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_einsum():
+    source = (
+        "import numpy as np\nfrom numpy import einsum as e\n"
+        "x = np.einsum('ij,j->i', a, b)\nf = np.einsum\ny = np.dot(a, b)\n"
+    )
+    assert einsum_uses(source) == [2, 3, 4]
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_names`` and class ``_methods`` that no source loads.
 

@@ -194,3 +194,54 @@ def test_log_softmax_normalizes():
     rng = np.random.default_rng(1)
     rows = rng.normal(size=(4, 6)) * 100
     assert np.exp(log_softmax(rows)).sum(axis=1) == pytest.approx(np.ones(4))
+
+
+class TestStackedLoss:
+    @pytest.mark.parametrize("m, t, s", [(1, 1, 2), (2, 9, 4), (5, 64, 8), (3, 200, 16)])
+    def test_each_model_equals_its_own_call(self, m, t, s):
+        rng = np.random.default_rng(100 * m + t)
+        logits = rng.normal(size=(m, t, s)) * 2.0
+        logits[0] = np.tile(rng.normal(size=s), (t, 1))  # one model never changes
+        y = rng.integers(0, s, size=t)
+        alphas = np.array([0.0, 0.025, 0.1, 1.0, 0.05])[:m]
+        res = sequence_loss_and_grad(logits, y, alphas)
+        assert res.grad.shape == logits.shape and res.num_cc_positions[0] == 0
+        for i in range(m):
+            one = sequence_loss_and_grad(logits[i], y, float(alphas[i]))
+            for name in ("total", "ce_part", "cons_part", "num_cc_positions"):
+                assert getattr(res, name)[i] == getattr(one, name), name
+            assert res.grad[i].tobytes() == one.grad.tobytes()
+
+    def test_cons_part_matches_batched_form_per_model(self):
+        # The stacked penalty against the independent batched reference.
+        rng = np.random.default_rng(11)
+        logits = rng.normal(size=(4, 16, 5)) * 2.0
+        res = sequence_loss_and_grad(logits, rng.integers(0, 5, size=16), 1.0)
+        for i in range(4):
+            batched = batched_cc_loss(logits[i][None])
+            assert batched == pytest.approx(res.cons_part[i], rel=1e-12, abs=1e-15)
+
+    def test_scalar_alpha_applies_to_every_model(self):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(3, 10, 4))
+        y = rng.integers(0, 4, size=10)
+        a = sequence_loss_and_grad(logits, y, 0.05)
+        b = sequence_loss_and_grad(logits, y, np.full(3, 0.05))
+        assert a.total.tobytes() == b.total.tobytes()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+    @pytest.mark.parametrize("logits, alpha, match", [
+        (np.zeros((2, 3, 2)), [0.0, 0.1, 0.2], "alpha shape"),
+        (np.zeros((2, 3, 2)), [], "alpha shape"),
+        (np.zeros((3, 2)), [0.0], "alpha shape"),
+        (np.zeros((2, 3, 2)), [0.0, -0.1], "finite and >= 0"),
+        (np.zeros((2, 3, 2)), [np.nan, 0.1], "finite and >= 0"),
+        (np.zeros((3, 2)), np.inf, "finite and >= 0"),
+        (np.zeros((1, 2, 3, 2)), 0.0, "2-d or 3-d"),
+        (np.zeros((0, 3, 2)), [], "empty logit sequence"),
+    ], ids=["too-many-alphas", "no-alpha", "alpha-array-for-one-model", "one-negative", "one-nan",
+            "infinite", "four-d", "no-model"])
+    def test_rejects_bad_stack(self, logits, alpha, match):
+        y = np.zeros(logits.shape[-2], dtype=int)
+        with pytest.raises(DomainError, match=match):
+            sequence_loss_and_grad(logits, y, np.array(alpha))

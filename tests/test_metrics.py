@@ -272,6 +272,24 @@ class TestPointMap:
         with pytest.raises(DomainError):
             point_map({}, {}, [0])
 
+    @pytest.mark.parametrize("offsets, match", [
+        ([2, 2.5, 3], r"whole frame counts, got \[2\.5\]"),
+        ([1, 3, 1, 3.0, 4], r"must differ, got \[1, 3\] more than once"),
+    ], ids=["fractional", "repeated"])
+    def test_rejects_offsets_that_share_a_key(self, offsets, match):
+        # The report has one key per frame count, so these would collide.
+        preds = {"v": [iv(0, 9, class_id=0, score=0.9)]}
+        gts = {"v": [iv(2, 9, class_id=0)]}
+        with pytest.raises(DomainError, match=match):
+            point_map(preds, gts, offsets)
+
+    def test_whole_float_offsets_are_frame_counts(self):
+        preds = {"v": [iv(0, 9, class_id=0, score=0.9)]}
+        gts = {"v": [iv(2, 9, class_id=0)]}
+        report = point_map(preds, gts, [1.0, 2.0, 3])
+        assert report == point_map(preds, gts, [1, 2, 3])
+        assert report.per_offset == {1: 0.0, 2: 1.0, 3: 1.0}
+
     def test_rejects_ground_truth_mixing_classed_and_classless(self):
         gts = {"v": [iv(10, 20, class_id=0), iv(40, 50)]}
         preds = {"v": [iv(10, 20, class_id=0, score=0.9)]}
@@ -806,7 +824,7 @@ def test_interval_map_equals_dense_reference(videos):
 @given(videos=scored_videos())
 def test_point_map_equals_dense_reference(videos):
     preds, gts = videos
-    offsets = [1, 4, 10, 2.5]
+    offsets = [1, 4, 10, 2]
     got = point_map(preds, gts, offsets)
     _, means, mean = dense_ap_per_class(preds, gts, dense_start_gain, [-o for o in offsets])
     assert got.per_offset == {int(-floor): m for floor, m in means.items()}

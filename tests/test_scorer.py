@@ -464,3 +464,162 @@ class TestCheckpoint:
         save_checkpoint(path, p)
         with pytest.raises(DomainError, match="non-finite values in w_o"):
             load_checkpoint(path)
+
+
+def stacked(models):
+    """The models as one stack: an (M, n) parameter array."""
+    first = models[0]
+    flat = np.stack([q.flat for q in models])
+    return ScorerParams(flat, first.feature_dim, first.hidden_dim, first.num_states)
+
+
+def perturbed_models(rng, m, d, h, s):
+    models = [init_params(d, h, s, seed=i) for i in range(m)]
+    for q in models:
+        q.flat += rng.normal(scale=0.3, size=q.flat.shape)
+    return models
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_stacked_gates_equal_per_gate_matvecs(m):
+    # forward_sequence serves both gates with one matvec of [u_z; u_h] when
+    # 4 divides H, which relies on the BLAS gemv rounding each row as it
+    # does in u_z or u_h alone.  The default H = 32 must keep that.
+    rng = np.random.default_rng(32)
+    h = 32
+    u_z, u_h = rng.normal(size=(2, m, h, h))
+    hs = rng.uniform(-1, 1, size=(m, h))
+    stacked_u = np.concatenate((u_z, u_h), axis=-2)
+    for i in range(m):
+        both = np.dot(stacked_u[i], hs[i])
+        per_gate = np.concatenate((np.dot(u_z[i], hs[i]), np.dot(u_h[i], hs[i])))
+        assert both.tobytes() == per_gate.tobytes(), (
+            "this BLAS rounds one matvec of [u_z; u_h] differently from the "
+            "per-gate matvecs at H = 32; forward_sequence's `hd % 4 == 0` rule "
+            "does not hold for it"
+        )
+    batched = np.matmul(stacked_u, hs[..., None])[..., 0]
+    per_model = np.stack([np.dot(stacked_u[i], hs[i]) for i in range(m)])
+    assert batched.tobytes() == per_model.tobytes(), (
+        "this BLAS rounds a batched np.matmul matvec differently from np.dot"
+    )
+
+
+class TestStack:
+    def test_arrays_are_views_with_a_model_axis(self):
+        models = [init_params(5, 4, 8, seed=i) for i in range(3)]
+        stack = stacked(models)
+        for q in (stack, stack.zeros_like()):
+            assert q.flat.shape == (3, models[0].flat.size) and q.flat.flags.c_contiguous
+            for arr, one in zip(q.arrays(), models[0].arrays()):
+                assert arr.shape == (3,) + one.shape
+                assert np.shares_memory(arr, q.flat)
+        for i, q in enumerate(models):
+            one = stack.model(i)
+            assert np.shares_memory(one.flat, stack.flat)
+            for name in PARAM_FIELDS:
+                assert_same_bits(getattr(one, name), getattr(q, name), name)
+                assert_same_bits(getattr(stack, name)[i], getattr(q, name), name)
+
+    @pytest.mark.parametrize("shape", [(), (0, 156), (2, 3, 156), (2, 155)],
+                             ids=["scalar", "no-model", "three-d", "wrong-length"])
+    def test_rejects_bad_stack_shape(self, shape):
+        # D = 5, H = 4, S = 8 has 156 parameters.
+        with pytest.raises(DomainError, match="expected"):
+            ScorerParams(np.zeros(shape), 5, 4, 8)
+
+    def test_checkpoint_holds_one_model(self, tmp_path):
+        stack = stacked([init_params(5, 4, 8, seed=i) for i in range(2)])
+        path = tmp_path / "model.aswp"
+        with pytest.raises(DomainError, match="one model, got a stack of 2"):
+            save_checkpoint(path, stack)
+        assert not path.exists()
+        save_checkpoint(path, stack.model(1))
+        assert load_checkpoint(path).flat.tobytes() == stack.flat[1].tobytes()
+
+    def test_rejects_wrong_stacked_h0_and_cotangent(self):
+        stack = stacked([init_params(3, 4, 2, seed=i) for i in range(2)])
+        with pytest.raises(DomainError, match="h0 shape"):
+            forward_sequence(stack, np.zeros((5, 3)), np.zeros(4))
+        logits, cache = forward_sequence(stack, np.zeros((5, 3)))
+        assert logits.shape == (2, 5, 2)
+        with pytest.raises(DomainError, match="dlogits shape"):
+            backward_sequence(cache, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    @pytest.mark.parametrize("h", [1, 3, 31, 32])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_each_model_matches_reference_loops(self, m, h, s, with_h0):
+        # H = 31 is not a multiple of 4, so its gates take one matvec each.
+        rng = np.random.default_rng(1000 * m + 10 * h + s)
+        d, t = 5, 37
+        models = perturbed_models(rng, m, d, h, s)
+        xs = rng.normal(size=(t, d))
+        h0 = rng.uniform(-1, 1, size=(m, h)) if with_h0 else None
+        logits, cache = forward_sequence(stacked(models), xs, h0)
+        dlogits = rng.normal(size=logits.shape)
+        grads = backward_sequence(cache, dlogits)
+        assert logits.shape == (m, t, s)
+        for i, q in enumerate(models):
+            ref_logits, ref_cache = reference_forward_sequence(
+                q, xs, None if h0 is None else h0[i]
+            )
+            assert_same_bits(logits[i], ref_logits, f"model {i} logits")
+            assert_same_bits(cache.xs, ref_cache.xs, "xs")
+            for name in CACHE_FIELDS[1:]:
+                assert_same_bits(getattr(cache, name)[i], getattr(ref_cache, name),
+                                 f"model {i} {name}")
+            ref_grads = reference_backward_sequence(ref_cache, dlogits[i])
+            for name in PARAM_FIELDS:
+                assert_same_bits(getattr(grads, name)[i], getattr(ref_grads, name),
+                                 f"model {i} d{name}")
+
+    def test_streaming_step_of_a_stack(self):
+        rng = np.random.default_rng(9)
+        stack = stacked(perturbed_models(rng, 3, 4, 8, 4))
+        xs = rng.normal(size=(6, 4))
+        batch_logits, _ = forward_sequence(stack, xs)
+        h = np.zeros((3, 8))
+        for t in range(6):
+            row, h = forward_step(stack, xs[t], h)
+            assert row.shape == (3, 4)
+            assert np.abs(row - batch_logits[:, t]).max() < 1e-12
+
+    def test_stacked_gradients_match_finite_differences(self):
+        # Criterion 4 on a stacked call: each model's loss, with its own
+        # alpha, against central differences in every one of its parameters;
+        # a model's parameters move no other model's loss.
+        rng = np.random.default_rng(14)
+        t, d, h, s = 6, 3, 4, 4
+        alphas = np.array([0.0, 0.025, 0.1])
+        while True:
+            stack = stacked(perturbed_models(rng, len(alphas), d, h, s))
+            xs = rng.normal(size=(t, d))
+            y = rng.integers(0, s, size=t)
+            logits, cache = forward_sequence(stack, xs)
+            top2 = np.sort(logits, axis=-1)[..., -2:]
+            if (top2[..., 1] - top2[..., 0]).min() > 1e-3:
+                break
+        res = sequence_loss_and_grad(logits, y, alphas)
+        assert res.num_cc_positions.min() > 0
+        grads = backward_sequence(cache, res.grad)
+        eps = 1e-5
+
+        def totals():
+            return sequence_loss_and_grad(forward_sequence(stack, xs)[0], y, alphas).total
+
+        it = np.nditer(stack.flat, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = stack.flat[idx]
+            stack.flat[idx] = orig + eps
+            lp = totals()
+            stack.flat[idx] = orig - eps
+            lm = totals()
+            stack.flat[idx] = orig
+            others = np.arange(len(alphas)) != idx[0]
+            assert (lp[others] == res.total[others]).all()
+            fd = (lp[idx[0]] - lm[idx[0]]) / (2 * eps)
+            g = grads.flat[idx]
+            assert abs(fd - g) / max(1e-6, abs(fd) + abs(g)) < 1e-5, (idx, fd, g)

@@ -1,11 +1,12 @@
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from switchdet import trainer
 from switchdet.exceptions import DomainError
-from switchdet.scorer import forward_step, init_params
+from switchdet.scorer import ScorerParams, forward_step, init_params
 from switchdet.switchboard import (
     ActionInterval,
     StreamDecoder,
@@ -87,6 +88,22 @@ def test_adam_matches_reference_loop(betas):
     assert params.flat.tobytes() == ref.flat.tobytes()
 
 
+def test_stacked_adam_matches_reference_per_model():
+    rng = np.random.default_rng(3)
+    stack = ScorerParams(np.stack([init_params(5, 7, 4, seed=i).flat for i in range(3)]), 5, 7, 4)
+    refs = [init_params(5, 7, 4, seed=i) for i in range(3)]
+    opt, ref_opts = Adam(stack, 3e-3), [ReferenceAdam(r, 3e-3) for r in refs]
+    for _ in range(6):
+        grads = stack.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.shape)
+        grads.flat[:, ::11] = 0.0
+        opt.step(stack, grads)
+        for i, (ref, ref_opt) in enumerate(zip(refs, ref_opts)):
+            ref_opt.step(ref, grads.model(i))
+    for i, ref in enumerate(refs):
+        assert stack.model(i).flat.tobytes() == ref.flat.tobytes()
+
+
 class TestTrain:
     def test_learns_separable_task(self):
         video = constant_state_video()
@@ -112,6 +129,20 @@ class TestTrain:
         pb, _ = train([video], config)
         for a, b in zip(pa.arrays(), pb.arrays()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden_dim", [8, 5], ids=["one-matvec", "matvec-per-gate"])
+    def test_stack_equals_each_model_alone(self, hidden_dim):
+        rng = np.random.default_rng(8)
+        videos = [(rng.normal(size=(300, 6)), [ActionInterval(20, 90), ActionInterval(60, 150)]),
+                  (rng.normal(size=(130, 6)), [ActionInterval(5, 70)])]
+        base = TrainConfig(epochs=2, bptt_len=64, hidden_dim=hidden_dim, learning_rate=1e-2)
+        configs = [replace(base, alpha=a, seed=s) for a, s in ((0.0, 0), (0.025, 0), (0.1, 4))]
+        stack, histories = trainer._train_stack(videos, configs)
+        assert stack.flat.shape[0] == 3
+        for i, config in enumerate(configs):
+            params, history = train(videos, config)
+            assert stack.model(i).flat.tobytes() == params.flat.tobytes()
+            assert [e.to_json() for e in histories[i]] == [e.to_json() for e in history]
 
     def test_empty_dataset(self):
         with pytest.raises(DomainError):
@@ -256,6 +287,76 @@ class TestSweep:
         )
         assert built == pools
         assert [r.error for r in rows] == [None] * len(alphas)
+
+    def test_one_pool_task_per_stack(self, monkeypatch):
+        # The benchmark's sweep: two switch counts, two alphas, one seed.
+        tasks = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, stacks):
+                stacks = list(stacks)
+                tasks.append([[(c.num_switches, c.alpha) for c in s] for s in stacks])
+                return super().map(fn, stacks)
+
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", RecordingPool)
+        train_set, eval_set = tiny_split()
+        kwargs = dict(alphas=[0.0, 0.05], switch_counts=[2, 1],
+                      base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0,))
+        parallel = sweep_alpha(train_set, eval_set, jobs=2, **kwargs)
+        assert tasks == [[[(1, 0.0), (1, 0.05)], [(2, 0.0), (2, 0.05)]]]
+        assert parallel == sweep_alpha(train_set, eval_set, jobs=1, **kwargs)
+
+    @pytest.mark.parametrize("sizes, at_least, expected", [
+        ([4], 3, [2, 1, 1]),
+        ([12], 1, [12]),
+        ([3, 3, 3], 2, [3, 3, 3]),
+        ([5, 2], 4, [2, 2, 1, 2]),
+        ([2, 2], 4, [1, 1, 1, 1]),
+    ])
+    def test_stacks_split_groups_evenly(self, sizes, at_least, expected):
+        groups = [[f"{g}.{i}" for i in range(n)] for g, n in enumerate(sizes)]
+        stacks = trainer._stacks(groups, at_least)
+        assert [len(s) for s in stacks] == expected
+        assert sum(stacks, []) == sum(groups, [])
+        assert all(len({c.split(".")[0] for c in s}) == 1 for s in stacks)
+
+    def test_failing_cell_in_a_stack(self, monkeypatch, caplog):
+        # Seed 1's model starts with a NaN head weight, so its training
+        # fails; the other cells of its stack must not.
+        real_init = trainer.init_params
+
+        def init_params_nan_for_seed_1(d, h, s, seed):
+            params = real_init(d, h, s, seed)
+            if seed == 1:
+                params.w_o[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(trainer, "init_params", init_params_nan_for_seed_1)
+        train_set, eval_set = tiny_split()
+        base = TrainConfig(epochs=1, hidden_dim=8)
+        kwargs = dict(alphas=[0.0, 0.05], switch_counts=[1], base=base, seeds=(0, 1, 2))
+
+        def warnings():
+            found = [r.getMessage() for r in caplog.records
+                     if r.name == "switchdet" and r.levelname == "WARNING"]
+            caplog.clear()
+            return found
+
+        with caplog.at_level("WARNING", logger="switchdet"):
+            stacked = sweep_alpha(train_set, eval_set, **kwargs)
+            stacked_warnings = warnings()
+            monkeypatch.setattr(trainer, "_stacks",
+                                lambda groups, _: [[c] for g in groups for c in g])
+            per_cell = sweep_alpha(train_set, eval_set, **kwargs)
+            per_cell_warnings = warnings()
+        assert stacked == per_cell
+        assert stacked_warnings == per_cell_warnings
+        assert [m.split(" failed")[0] for m in stacked_warnings] == [
+            "sweep cell k=1 alpha=0 seed=1", "sweep cell k=1 alpha=0.05 seed=1"]
+        alone = run_cell(train_set, eval_set, replace(base, num_switches=1, seed=1))
+        assert alone.error == "non-finite values in w_o"
+        assert all(alone.error in m for m in stacked_warnings)
+        assert [r.error for r in stacked] == [None, None]
 
     def test_empty_grid(self):
         train_set, eval_set = tiny_split()

@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-videos", type=_count, default=1)
     p.add_argument("--num-seeds", type=_count, default=3)
     p.add_argument("--tiou", type=_tiou(), default=0.5)
-    p.add_argument("--jobs", type=_count, default=1)
+    p.add_argument("--jobs", type=_count, default=1,
+                   help="worker processes, at most one per switch count")
     p.add_argument("--out", type=_Out, required=True)
     return parser
 

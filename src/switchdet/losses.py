@@ -87,38 +87,34 @@ def sequence_loss_and_grad(logits, gt_states, alpha) -> LossResult:
     if y.size and (y.min() < 0 or y.max() >= s):
         raise DomainError("ground-truth state out of range")
 
-    # Every model's frames as rows of one (M * T, S) array: row model * T + t.
-    logp = log_softmax(stack).reshape(m * t, s)
+    logp = log_softmax(stack)
     probs = np.exp(logp)
-    frames = np.arange(m * t)
-    truth = np.tile(y, m)
+    frames = np.arange(t)
 
-    # One model per row of the (M, T) picks, so each row's mean sums as a
-    # 1-D mean does.
-    ce_part = -logp[frames, truth].reshape(m, t).mean(axis=1)
+    # A C-contiguous (M, T) copy of the picks, so each model's mean sums as
+    # a 1-D mean does.
+    ce_part = -np.ascontiguousarray(logp[:, frames, y]).mean(axis=1)
     grad = probs.copy()
-    grad[frames, truth] -= 1.0
+    grad[:, frames, y] -= 1.0
     grad /= t
 
-    pred = stack.argmax(axis=2).ravel()  # ties resolve to the lowest index
-    changed = pred[1:] != pred[:-1]
-    changed[t - 1 :: t] = False  # a model's first frame follows another model's last
-    cc = np.flatnonzero(changed) + 1
-    num_cc = np.bincount(cc // t, minlength=m)
-    targets = pred[cc - 1]
-    penalties = -logp[cc, targets]
+    pred = stack.argmax(axis=2)  # ties resolve to the lowest index
+    # Each change position's model and frame, model by model.
+    models, before = np.nonzero(pred[:, 1:] != pred[:, :-1])
+    cc = before + 1
+    num_cc = np.bincount(models, minlength=m)
+    targets = pred[models, before]
+    penalties = -logp[models, cc, targets]
     # Each model's mean over its own positions, as its own call takes it.
     stops = np.cumsum(num_cc).tolist()
     cons_part = np.array([penalties[start:stop].mean() if stop > start else 0.0
                           for start, stop in zip([0] + stops, stops)])
     gcons = np.zeros_like(logp)
-    gcons[cc] = probs[cc]
-    gcons[cc, targets] -= 1.0
+    gcons[models, cc] = probs[models, cc]
+    gcons[models, cc, targets] -= 1.0
     # gcons is zero off the change positions, so there (and for a model
     # with none) this adds exactly +0.0, as the single-model code adds nothing.
-    scale = alphas / np.maximum(num_cc, 1)
-    grad += np.repeat(scale, t)[:, None] * gcons
-    grad = grad.reshape(m, t, s)
+    grad += (alphas / np.maximum(num_cc, 1))[:, None, None] * gcons
     total = ce_part + alphas * cons_part
 
     if rows.ndim == 2:

@@ -80,17 +80,16 @@ def _columns(videos: Mapping) -> dict[str, IntervalColumns]:
     }
 
 
-def _overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Temporal IoU of every (row, col) pair of two span arrays; equals tiou."""
-    inter = (
-        np.minimum(rows[:, None, 1], cols[None, :, 1])
-        - np.maximum(rows[:, None, 0], cols[None, :, 0])
-        + 1
-    )
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Temporal IoU of broadcastable (..., 2) span arrays; equals tiou."""
+    inter = np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]) + 1
     np.maximum(inter, 0, out=inter)
-    row_len = rows[:, 1] - rows[:, 0] + 1
-    col_len = cols[:, 1] - cols[:, 0] + 1
-    return inter / (row_len[:, None] + col_len[None, :] - inter)
+    return inter / ((a[..., 1] - a[..., 0] + 1) + (b[..., 1] - b[..., 0] + 1) - inter)
+
+
+def _overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Temporal IoU of every (row, col) pair of two span arrays."""
+    return _iou(rows[:, None], cols[None, :])
 
 
 def _overlap_groups(rows: np.ndarray, cols: np.ndarray):
@@ -236,10 +235,7 @@ def _iou_candidates(pred_spans, gt_spans, lowest):
     rows, cols = _pairs_by_start(
         gt_spans[:, 0], pred_spans[:, 0] - longest, pred_spans[:, 1]
     )
-    p, g = pred_spans[rows], gt_spans[cols]
-    inter = np.minimum(p[:, 1], g[:, 1]) - np.maximum(p[:, 0], g[:, 0]) + 1
-    # The same expression as _overlap_matrix, so equal IoUs stay equal.
-    iou = inter / ((p[:, 1] - p[:, 0] + 1) + (g[:, 1] - g[:, 0] + 1) - inter)
+    iou = _iou(pred_spans[rows], gt_spans[cols])
     keep = iou >= lowest
     # Reversed columns: of equal IoUs, interval mAP matches the last ground
     # truth, so the matcher's first column must be the last one.

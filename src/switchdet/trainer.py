@@ -285,29 +285,6 @@ def _run_stack(
             for c, outcome in zip(configs, outcomes)]
 
 
-def _stacks(groups: list[list[TrainConfig]], at_least: int) -> list[list[TrainConfig]]:
-    """Split each group into consecutive stacks whose sizes differ by at most
-    one, with at least ``at_least`` stacks in all (``at_least`` is at most
-    the number of configs, so no stack is empty).
-
-    Each added stack goes to the group whose stacks are largest, the first
-    of those on a tie.
-    """
-    counts = [1] * len(groups)
-    while sum(counts) < at_least:
-        largest = max(range(len(groups)), key=lambda g: -(-len(groups[g]) // counts[g]))
-        counts[largest] += 1
-    stacks = []
-    for group, count in zip(groups, counts):
-        size, extra = divmod(len(group), count)
-        start = 0
-        for j in range(count):
-            stop = start + size + (j < extra)
-            stacks.append(group[start:stop])
-            start = stop
-    return stacks
-
-
 # The train set, eval set and tIoU threshold of a sweep pool worker.  The
 # pool's initializer sets them once in each worker, never in the calling
 # process, so that each task is one stack's TrainConfigs.
@@ -336,10 +313,10 @@ def sweep_alpha(
 ) -> list[SweepRow]:
     """Train one model per (num_switches, alpha, seed) cell.
 
-    Cells with the same switch count train as stacks of models (see
-    _stacks), at least min(jobs, cells) stacks in all, one pool task per
-    stack; with min(jobs, cells) = 1 they run in this process.  Each row
-    equals, bit for bit, that of the cell trained alone.
+    The cells of each switch count train as one stack of models, one pool
+    task per stack, on min(jobs, switch counts) workers; with one worker
+    they run in this process.  Each row equals, bit for bit, that of the
+    cell trained alone.
 
     Each reported row is the componentwise median across seeds.  Failed
     cells come back with NaN metrics and their error message instead of
@@ -347,16 +324,15 @@ def sweep_alpha(
     """
     if not alphas or not switch_counts or not seeds:
         raise DomainError("empty sweep grid")
-    groups = [
+    stacks = [
         [replace(base, num_switches=k, alpha=alpha, seed=seed)
          for alpha in sorted(alphas) for seed in seeds]
         for k in sorted(switch_counts)
     ]
-    tasks = min(jobs, len(groups) * len(groups[0]))
-    stacks = _stacks(groups, tasks)
-    if tasks > 1:
+    workers = min(jobs, len(stacks))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=tasks,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(train_set, eval_set, tiou_threshold),
         ) as pool:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
 from switchdet.losses import (
@@ -245,3 +247,35 @@ class TestStackedLoss:
         y = np.zeros(logits.shape[-2], dtype=int)
         with pytest.raises(DomainError, match=match):
             sequence_loss_and_grad(logits, y, np.array(alpha))
+
+
+@st.composite
+def loss_stacks(draw):
+    """(logits, gt, alphas) of an (M, T, S) stack.  Some models never change
+    their argmax, and each model's first frame has another argmax than the
+    previous model's last frame, so a change counted across models shows."""
+    m = draw(st.integers(1, 8))
+    t = draw(st.integers(1, 200))
+    s = draw(st.sampled_from([2, 4, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=(m, t, s)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    for i in range(m):
+        if i:
+            other = (logits[i - 1, -1].argmax() + 1 + rng.integers(s - 1)) % s
+            logits[i, 0, other] = logits[i, 0].max() + 1.0
+        if draw(st.booleans()):
+            logits[i] = logits[i, :1]
+    alphas = draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m))
+    return logits, rng.integers(0, s, size=t), np.array(alphas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=loss_stacks())
+def test_stack_equals_each_models_own_call(case):
+    logits, y, alphas = case
+    res = sequence_loss_and_grad(logits, y, alphas)
+    for i in range(len(logits)):
+        one = sequence_loss_and_grad(logits[i], y, float(alphas[i]))
+        for name in ("total", "ce_part", "cons_part", "num_cc_positions", "grad"):
+            got, want = np.asarray(getattr(res, name)[i]), np.asarray(getattr(one, name))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -262,16 +262,20 @@ class TestSweep:
     def test_parallel_rows_equal_serial(self):
         train_set, eval_set = tiny_split()
         kwargs = dict(
-            alphas=[0.0, 0.05], switch_counts=[1],
+            alphas=[0.0, 0.05], switch_counts=[1, 2],
             base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0, 1),
         )
         serial = sweep_alpha(train_set, eval_set, jobs=1, **kwargs)
         parallel = sweep_alpha(train_set, eval_set, jobs=2, **kwargs)
         assert parallel == serial
 
-    @pytest.mark.parametrize("alphas, pools", [([0.0], []), ([0.0, 0.05], [2])],
-                             ids=["one-cell", "two-cells"])
-    def test_pool_never_outnumbers_cells(self, monkeypatch, alphas, pools):
+    @pytest.mark.parametrize("alphas, switch_counts, pools", [
+        ([0.0], [1], []),
+        ([0.0, 0.05], [1], []),
+        ([0.0], [1, 2], [2]),
+    ], ids=["one-cell", "two-cells", "two-switch-counts"])
+    def test_pool_never_outnumbers_cells(self, monkeypatch, alphas, switch_counts, pools):
+        # One worker per switch count at most, and none for a single one.
         built = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -282,11 +286,11 @@ class TestSweep:
         monkeypatch.setattr(trainer, "ProcessPoolExecutor", RecordingPool)
         train_set, eval_set = tiny_split()
         rows = sweep_alpha(
-            train_set, eval_set, alphas=alphas, switch_counts=[1],
+            train_set, eval_set, alphas=alphas, switch_counts=switch_counts,
             base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0,), jobs=3,
         )
         assert built == pools
-        assert [r.error for r in rows] == [None] * len(alphas)
+        assert [r.error for r in rows] == [None] * len(alphas) * len(switch_counts)
 
     def test_one_pool_task_per_stack(self, monkeypatch):
         # The benchmark's sweep: two switch counts, two alphas, one seed.
@@ -305,20 +309,6 @@ class TestSweep:
         parallel = sweep_alpha(train_set, eval_set, jobs=2, **kwargs)
         assert tasks == [[[(1, 0.0), (1, 0.05)], [(2, 0.0), (2, 0.05)]]]
         assert parallel == sweep_alpha(train_set, eval_set, jobs=1, **kwargs)
-
-    @pytest.mark.parametrize("sizes, at_least, expected", [
-        ([4], 3, [2, 1, 1]),
-        ([12], 1, [12]),
-        ([3, 3, 3], 2, [3, 3, 3]),
-        ([5, 2], 4, [2, 2, 1, 2]),
-        ([2, 2], 4, [1, 1, 1, 1]),
-    ])
-    def test_stacks_split_groups_evenly(self, sizes, at_least, expected):
-        groups = [[f"{g}.{i}" for i in range(n)] for g, n in enumerate(sizes)]
-        stacks = trainer._stacks(groups, at_least)
-        assert [len(s) for s in stacks] == expected
-        assert sum(stacks, []) == sum(groups, [])
-        assert all(len({c.split(".")[0] for c in s}) == 1 for s in stacks)
 
     def test_failing_cell_in_a_stack(self, monkeypatch, caplog):
         # Seed 1's model starts with a NaN head weight, so its training
@@ -345,10 +335,20 @@ class TestSweep:
         with caplog.at_level("WARNING", logger="switchdet"):
             stacked = sweep_alpha(train_set, eval_set, **kwargs)
             stacked_warnings = warnings()
-            monkeypatch.setattr(trainer, "_stacks",
-                                lambda groups, _: [[c] for g in groups for c in g])
-            per_cell = sweep_alpha(train_set, eval_set, **kwargs)
-            per_cell_warnings = warnings()
+        cells = [run_cell(train_set, eval_set,
+                          replace(base, num_switches=1, alpha=alpha, seed=seed))
+                 for alpha in (0.0, 0.05) for seed in (0, 1, 2)]
+        per_cell_warnings = [
+            f"sweep cell k=1 alpha={c.alpha:g} seed={c.seed} failed: {c.error}"
+            for c in cells if c.error is not None]
+        per_cell = []
+        for i in (0, 3):  # one row per alpha: the median over its seeds that ran
+            ok = [c for c in cells[i : i + 3] if c.error is None]
+            per_cell.append(replace(
+                ok[0], f1=float(np.median([c.f1 for c in ok])),
+                precision=float(np.median([c.precision for c in ok])),
+                recall=float(np.median([c.recall for c in ok])),
+                num_proposals=int(np.median([c.num_proposals for c in ok]))))
         assert stacked == per_cell
         assert stacked_warnings == per_cell_warnings
         assert [m.split(" failed")[0] for m in stacked_warnings] == [

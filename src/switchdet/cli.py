@@ -40,6 +40,7 @@ from .switchboard import (
 from .synthgen import SynthConfig, generate_stream, read_features, write_features
 from .trainer import (
     TrainConfig,
+    check_sweep_grid,
     infer_instances,
     rows_to_csv,
     sweep_alpha,
@@ -237,6 +238,9 @@ def cmd_sweep(args) -> dict:
     # Class signatures are shared across the train and eval streams.
     synth = replace(_config(SynthConfig, args), signature_seed=args.seed * 1000 + 1)
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
+    # sweep_alpha checks the grid too; checking here fails before any stream
+    # is generated.
+    check_sweep_grid(args.alphas, args.switches, seeds)
 
     def configs(length, first_seed, count):
         # Data seeds are a fixed function of the base seed so reruns reproduce.

@@ -121,9 +121,9 @@ def _read_only(value: float) -> np.ndarray:
     return arr
 
 
-# Operands of the per-step ufuncs: a 0-d array is cheaper to pass than a
+# Operand of the per-step ufuncs: a 0-d array is cheaper to pass than a
 # Python float, which numpy converts on every call.
-_ZERO, _ONE, _MINUS_ONE = _read_only(0.0), _read_only(1.0), _read_only(-1.0)
+_ONE = _read_only(1.0)
 
 
 def _matvec(stacked: bool):
@@ -139,15 +139,10 @@ def _matvec(stacked: bool):
     return np.dot, lambda a: a
 
 
-def _frames_first(a: np.ndarray) -> np.ndarray:
-    """A stack's ``(M, T, X)`` as a ``(T, M, X)`` view, for the per-step loops."""
+def _swap_stack(a: np.ndarray) -> np.ndarray:
+    """A stack's ``(M, T, X)`` as a ``(T, M, X)`` view, and back; one
+    model's ``(T, X)`` as it is."""
     return a if a.ndim == 2 else a.swapaxes(0, 1)
-
-
-def _models_first(a: np.ndarray) -> np.ndarray:
-    """A stack's ``(T, M, X)`` as a C-contiguous ``(M, T, X)``: each model's
-    rows are then one contiguous matrix, as the whole-window products need."""
-    return a if a.ndim == 2 else np.ascontiguousarray(a.swapaxes(0, 1))
 
 
 def forward_step(
@@ -167,7 +162,9 @@ def forward_sequence(
     and passing the last hidden state as the next h0 continues a stream.
     A stack of M models runs over the same xs, with h0, the logits and the
     cache's hidden arrays (M, H), (M, T, S) and (M, T, H).  Each step writes
-    in place into buffers allocated once per call.
+    in place into buffers allocated once per call.  They are laid out step
+    by step, so that one call covers operands that would otherwise take two
+    or three, and the cache's hidden arrays are views of them.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.feature_dim:
@@ -184,62 +181,81 @@ def forward_sequence(
     h0 = np.zeros(lead + (hd,)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h0.shape != lead + (hd,):
         raise DomainError(f"h0 shape {h0.shape} != {lead + (hd,)}")
-    h0 = np.ascontiguousarray(h0)
     w_z, u_z, b_z, w_h, u_h, b_h, w_o, b_o = params.arrays()
 
-    # Input projections and biases of both gates for every step at once,
-    # one (T, 2H) block per model; the loop adds one row of it per step.
-    xa = np.empty((t,) + lead + (2 * hd,))
-    by_model = _frames_first(xa)
+    # The input part [xa_z | -xa_z | xa_h] of every step's gate row, biases
+    # included.  Two projections: one of the stacked [w_z; w_h] rounds
+    # differently.
+    xa = np.empty((t,) + lead + (3 * hd,))
+    by_model = _swap_stack(xa)
     np.matmul(xs, np.swapaxes(w_z, -1, -2), out=by_model[..., :hd])
-    np.matmul(xs, np.swapaxes(w_h, -1, -2), out=by_model[..., hd:])
-    xa += np.concatenate((b_z, b_h), axis=-1)
-    z_all, cand_all, h_all = np.empty((3, t) + lead + (hd,))
-    gates = np.empty(lead + (2 * hd,))
+    np.matmul(xs, np.swapaxes(w_h, -1, -2), out=by_model[..., 2 * hd:])
+    xa[..., :hd] += b_z
+    xa[..., 2 * hd:] += b_h
+    np.negative(xa[..., :hd], xa[..., hd:2 * hd])
+    # A step's gate row is [0 | a_z | -a_z | a_h]: one minimum of its middle
+    # half against its first half gives [min(a_z, 0), -|a_z|].
     matvec, col = _matvec(bool(lead))
-    g, a_z, a_h = col(gates), col(gates[..., :hd]), col(gates[..., hd:])
+    row = np.zeros(lead + (4 * hd,))
+    pre, low, mid, a_h = (
+        col(row[..., hd:]), col(row[..., :2 * hd]),
+        col(row[..., hd:3 * hd]), col(row[..., 3 * hd:]),
+    )
     # Numerator and denominator exps of the sigmoid, one exp call for both.
-    exps = np.empty((2,) + lead + (hd,))
-    num, neg_abs = col(exps)
-    den, keep = col(np.empty((2,) + lead + (hd,)))
-    # One matvec of the stacked [u_z; u_h] for both gates.  Checked for
-    # H = 1-79 on OpenBLAS 0.3.31 (the scipy-openblas64 build bundled with
-    # numpy 2.4.6, DYNAMIC_ARCH, SkylakeX core), whose dgemv computes rows in
-    # blocks of four: the stacked product equals the per-gate ones when 4
-    # divides H, and at most H not divisible by 4 a row of u_z falls in
-    # another block than in u_z alone and rounds differently.  Those H keep
-    # one matvec per gate.  Another BLAS may block otherwise; then
+    exps = np.empty(lead + (2 * hd,))
+    num, neg_abs, exps = col(exps[..., :hd]), col(exps[..., hd:]), col(exps)
+    den = col(np.empty(lead + (hd,)))
+    # kz[i] = [1 - z, z] and hc = [h0, cand, h, cand, h, ...], so that step
+    # i's kz[i] * hc[2i:2i+2] = [(1 - z) * h_prev, z * cand] is one product.
+    kz = np.empty((t, 2) + lead + (hd,))
+    hc = np.empty((2 * t + 1,) + lead + (hd,))
+    hc[0] = h0
+    pairs = hc[:-1].reshape(kz.shape)  # pairs[i] = [h_prev, cand] of step i
+    mix = col(np.empty((2,) + lead + (hd,)))
+    mix_keep, mix_new = mix
+    # One matvec of the stacked [u_z; -u_z; u_h] for the three gate blocks.
+    # Checked for H = 1-79 on OpenBLAS 0.3.31 (the scipy-openblas64 build
+    # bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX core), whose dgemv
+    # computes rows in blocks of four: the stacked product equals the
+    # per-block ones when 4 divides H, and at most H not divisible by 4 a
+    # row falls in another block than in its own matrix and rounds
+    # differently.  Those H keep one matvec per block.  Another BLAS may
+    # block otherwise; then
     # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.
-    if hd % 4 == 0:
-        u_a, out_a, u_b, out_b = np.concatenate((u_z, u_h), axis=-2), g, None, None
+    split = hd % 4 != 0
+    if split:
+        u_a, out_a = u_z, col(row[..., hd:2 * hd])
+        u_b, out_b, u_c, out_c = -u_z, col(row[..., 2 * hd:3 * hd]), u_h, a_h
     else:
-        u_a, out_a, u_b, out_b = u_z, a_z, u_h, a_h
-    h = col(h0)
-    for z, cand, h_next, a in zip(col(z_all), col(cand_all), col(h_all), col(xa)):
-        matvec(u_a, h, out=out_a)
-        if u_b is not None:
-            matvec(u_b, h, out=out_b)
-        np.add(g, a, out=g)
+        u_a, out_a = np.concatenate((u_z, -u_z, u_h), axis=-2), pre
+    # Local names for the ufuncs: looking np and its attribute up on every
+    # call is a measurable share of a call on rows this short.
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    minimum, exp, tanh = np.minimum, np.exp, np.tanh
+    h = col(hc[0])
+    for a, kz_i, keep, z, cand, pair, h_next in zip(
+        *(col(v) for v in (xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2]))
+    ):
+        matvec(u_a, h, out_a)
+        if split:
+            matvec(u_b, h, out_b)
+            matvec(u_c, h, out_c)
+        add(pre, a, pre)
         # z = sigmoid(a_z) as exp(min(a_z, 0)) / (1 + exp(-|a_z|)): that is
         # 1 / (1 + exp(-a_z)) where a_z >= 0 and exp(a_z) / (1 + exp(a_z))
         # elsewhere, with no mask and no exp that can overflow.
-        np.minimum(a_z, _ZERO, out=num)
-        np.copysign(a_z, _MINUS_ONE, out=neg_abs)
-        np.exp(exps, out=exps)
-        np.add(neg_abs, _ONE, out=den)
-        np.divide(num, den, out=z)
-        np.tanh(a_h, out=cand)
+        minimum(mid, low, out=exps)
+        exp(exps, exps)
+        add(neg_abs, _ONE, den)
+        divide(num, den, z)
+        tanh(a_h, cand)
         # h_next = (1 - z) * h + z * cand
-        np.subtract(_ONE, z, out=keep)
-        np.multiply(keep, h, out=keep)
-        np.multiply(z, cand, out=h_next)
-        np.add(keep, h_next, out=h_next)
+        subtract(_ONE, z, keep)
+        multiply(kz_i, pair, mix)
+        add(mix_keep, mix_new, h_next)
         h = h_next
-    h_prev = np.empty_like(h_all)
-    h_prev[0] = h0
-    h_prev[1:] = h_all[:-1]
     h_prev, z_all, cand_all, h_all = (
-        _models_first(a) for a in (h_prev, z_all, cand_all, h_all)
+        _swap_stack(a) for a in (pairs[:, 0], kz[:, 1], pairs[:, 1], hc[2::2])
     )
     logits = np.matmul(h_all, np.swapaxes(w_o, -1, -2))
     logits += b_o[..., None, :]
@@ -253,9 +269,12 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     """Exact BPTT: parameter gradients for a cotangent on the logits.
 
     A stack's cotangent is (M, T, S), and its gradients are a stack too.
-    The factors that do not depend on the carried gradient are computed for
-    the whole window first; each step writes in place into buffers
-    allocated once per call, keeping the operand order of every product.
+    The factors that do not depend on the carried gradient are laid out
+    step by step for the whole window first, f[i] = [cand - h_prev, z, 1 - z]
+    and g[i] = [z, 1 - cand^2, 1], so that one product gives all three rows
+    of d[i] = [da_z, da_h, carry into step i - 1].  Each step writes in place
+    into buffers allocated once per call, keeping the operand order of every
+    product; the product by 1 is exact.
     """
     p = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
@@ -268,47 +287,56 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     _, u_z, _, _, u_h, _, w_o, _ = p.arrays()
     hd = p.hidden_dim
     dlogits = np.ascontiguousarray(dlogits)
-    h_prev, z_all, h_cand, h_all = cache.h_prev, cache.z, cache.h_cand, cache.h
-    dh_out = np.matmul(dlogits, w_o)  # (T, H) per model
+    h_prev, z_all, h_cand = (_swap_stack(a) for a in (cache.h_prev, cache.z, cache.h_cand))
+    dh_out = _swap_stack(np.matmul(dlogits, w_o))
 
-    diff = h_cand - h_prev
-    one_minus_z = _ONE - z_all
-    dtanh = h_cand * h_cand
-    np.subtract(_ONE, dtanh, out=dtanh)
-    daz, dah = np.empty((2, t) + lead + (hd,))
+    f = np.empty((t, 3) + lead + (hd,))
+    np.subtract(h_cand, h_prev, f[:, 0])
+    f[:, 1] = z_all
+    np.subtract(_ONE, z_all, f[:, 2])
+    g = np.empty_like(f)
+    g[:, 0] = z_all
+    np.multiply(h_cand, h_cand, g[:, 1])
+    np.subtract(_ONE, g[:, 1], g[:, 1])
+    g[:, 2] = 1.0
+    d = np.empty_like(f)
     matvec, col = _matvec(bool(lead))
-    dh, carry, back = col(np.zeros((3,) + lead + (hd,)))
+    dh, back = col(np.empty((2,) + lead + (hd,)))
+    carry = col(np.zeros(lead + (hd,)))
     u_z_t, u_h_t = np.swapaxes(u_z, -1, -2), np.swapaxes(u_h, -1, -2)
-    rows = [col(a) for a in (daz, dah)] + [
-        col(_frames_first(a)) for a in (z_all, one_minus_z, diff, dtanh, dh_out)
-    ]
-    for da_z, da_h, z, omz, dif, dtan, dh_o in zip(*(r[::-1] for r in rows)):
-        np.add(dh_o, carry, out=dh)
-        # da_z = dh * (cand - h_prev) * z * (1 - z)
-        np.multiply(dh, dif, out=da_z)
-        np.multiply(da_z, z, out=da_z)
-        np.multiply(da_z, omz, out=da_z)
-        # da_h = dh * z * (1 - cand^2)
-        np.multiply(dh, z, out=da_h)
-        np.multiply(da_h, dtan, out=da_h)
-        # carry = dh * (1 - z) + u_z^T da_z + u_h^T da_h; one matvec over
-        # the stacked [u_z; u_h] would round differently.
-        np.multiply(dh, omz, out=carry)
-        matvec(u_z_t, da_z, out=back)
-        np.add(carry, back, out=carry)
-        matvec(u_h_t, da_h, out=back)
-        np.add(carry, back, out=carry)
+    # Local names for the ufuncs, as in forward_sequence.
+    add, multiply = np.add, np.multiply
+    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, dh_out)
+    for d_i, da_z, da_h, carry_i, f_i, omz, g_i, dh_o in zip(
+        *(col(r[::-1]) for r in rows)
+    ):
+        add(dh_o, carry, dh)
+        # [da_z, da_h, carry] = [dh * (cand - h_prev) * z * (1 - z),
+        #                        dh * z * (1 - cand^2), dh * (1 - z)]
+        multiply(dh, f_i, d_i)
+        multiply(d_i, g_i, d_i)
+        multiply(da_z, omz, da_z)
+        # carry += u_z^T da_z + u_h^T da_h; one matvec over the stacked
+        # [u_z; u_h] would round differently.
+        matvec(u_z_t, da_z, back)
+        add(carry_i, back, carry_i)
+        matvec(u_h_t, da_h, back)
+        add(carry_i, back, carry_i)
+        carry = carry_i
 
-    daz, dah = _models_first(daz), _models_first(dah)
+    # C-contiguous (M, T, H) operands: on strided ones, matmul may take
+    # another BLAS call and round differently.
+    daz, dah = (np.ascontiguousarray(_swap_stack(a)) for a in (d[:, 0], d[:, 1]))
+    h_prev_c, h_c = (np.ascontiguousarray(a) for a in (cache.h_prev, cache.h))
     grads = p.zeros_like()
     g_w_z, g_u_z, g_b_z, g_w_h, g_u_h, g_b_h, g_w_o, g_b_o = grads.arrays()
     np.matmul(np.swapaxes(daz, -1, -2), cache.xs, out=g_w_z)
-    np.matmul(np.swapaxes(daz, -1, -2), h_prev, out=g_u_z)
+    np.matmul(np.swapaxes(daz, -1, -2), h_prev_c, out=g_u_z)
     daz.sum(axis=-2, out=g_b_z)
     np.matmul(np.swapaxes(dah, -1, -2), cache.xs, out=g_w_h)
-    np.matmul(np.swapaxes(dah, -1, -2), h_prev, out=g_u_h)
+    np.matmul(np.swapaxes(dah, -1, -2), h_prev_c, out=g_u_h)
     dah.sum(axis=-2, out=g_b_h)
-    np.matmul(np.swapaxes(dlogits, -1, -2), h_all, out=g_w_o)
+    np.matmul(np.swapaxes(dlogits, -1, -2), h_c, out=g_w_o)
     dlogits.sum(axis=-2, out=g_b_o)
     return grads
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -301,6 +302,23 @@ def _run_worker_stack(configs: list[TrainConfig]) -> list[SweepRow]:
     return _run_stack(train_set, eval_set, configs, tiou_threshold)
 
 
+def check_sweep_grid(alphas, switch_counts, seeds) -> None:
+    """Raise DomainError if a sweep grid axis is empty or repeats a value.
+
+    A repeated value would train duplicate cells, and a repeated switch
+    count would take a pool worker of its own.
+    """
+    if not alphas or not switch_counts or not seeds:
+        raise DomainError("empty sweep grid")
+    for name, values in (("alphas", alphas), ("switch counts", switch_counts),
+                         ("seeds", seeds)):
+        repeated = sorted(v for v, n in Counter(values).items() if n > 1)
+        if repeated:
+            raise DomainError(
+                f"repeated {name} in the sweep grid: {', '.join(map(str, repeated))}"
+            )
+
+
 def sweep_alpha(
     train_set: list[Video],
     eval_set: list[Video],
@@ -321,9 +339,9 @@ def sweep_alpha(
     Each reported row is the componentwise median across seeds.  Failed
     cells come back with NaN metrics and their error message instead of
     aborting the whole sweep.  Rows are sorted by (num_switches, alpha).
+    An empty grid axis or a repeated grid value is a DomainError.
     """
-    if not alphas or not switch_counts or not seeds:
-        raise DomainError("empty sweep grid")
+    check_sweep_grid(alphas, switch_counts, seeds)
     stacks = [
         [replace(base, num_switches=k, alpha=alpha, seed=seed)
          for alpha in sorted(alphas) for seed in seeds]

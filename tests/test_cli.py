@@ -827,10 +827,12 @@ class TestUsageErrors:
         (["--jobs", "0"], 1), (["--eval-length", "0"], 2),
         (["--seed", "-1"], 2), (["--hidden-dim", "0"], 2),
         (["--noise-sigma", "nan"], 2), (["--arrival-rate", "inf"], 2),
+        (["--alphas", "0,0"], 2), (["--switches", "1,1", "--jobs", "2"], 2),
     ], ids=["alphas-nan", "alphas-negative", "alphas-inf", "switches-0",
             "switches-17", "learning-rate-nan", "epochs-0", "alphas-empty",
             "num-seeds-0", "train-videos-0", "eval-videos-0", "jobs-0", "eval-length-0",
-            "seed--1", "hidden-dim-0", "noise-sigma-nan", "arrival-rate-inf"])
+            "seed--1", "hidden-dim-0", "noise-sigma-nan", "arrival-rate-inf",
+            "alphas-repeated", "switches-repeated"])
     def test_sweep_fails_before_generating(self, tmp_path, monkeypatch, flags, code):
         generated, generate = [], cli.generate_stream
         monkeypatch.setattr(cli, "generate_stream",

@@ -122,3 +122,52 @@ def test_check_sees_unused_names():
         "__all__ = ['loads']\nprint(os.sep)\n"
     )
     assert unused_imports(source) == ["dumps (line 4)", "np (line 2)"]
+
+
+def per_step_calls(source: str, function: str) -> tuple[int, int]:
+    """Call expressions in the per-step loop of ``function``: the one ``for``
+    statement at the top of its body.  Returns (calls made on every step,
+    calls in all), the first leaving out the bodies of ``if`` statements."""
+    func = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    (loop,) = [node for node in func.body if isinstance(node, ast.For)]
+
+    def calls(nodes, skip_if):
+        count = 0
+        for node in nodes:
+            if skip_if and isinstance(node, ast.If):
+                continue
+            count += isinstance(node, ast.Call)
+            count += calls(ast.iter_child_nodes(node), skip_if)
+        return count
+
+    return calls(loop.body, True), calls(loop.body, False)
+
+
+# Per-frame call budget of the recurrent cell, as (calls on every frame,
+# calls in all): each numpy call costs about half a microsecond of dispatch
+# on rows of H = 32, which is most of a frame's time.  The forward's two
+# calls under an `if` are the per-block matvecs taken only when 4 does not
+# divide H.  The budget is pinned: raise it only with a measurement that the
+# new call pays, and lower it when a call goes.
+PER_STEP_CALL_BUDGET = {"forward_sequence": (10, 12), "backward_sequence": (8, 8)}
+
+
+@pytest.mark.parametrize("function", sorted(PER_STEP_CALL_BUDGET))
+def test_per_step_call_budget(function):
+    source = (Path(switchdet.__file__).parent / "scorer.py").read_text(encoding="utf-8")
+    calls = per_step_calls(source, function)
+    assert calls == PER_STEP_CALL_BUDGET[function], (
+        f"per-frame call budget: the per-step loop of scorer.{function} makes "
+        f"{calls} calls (every step, in all), not its budget of "
+        f"{PER_STEP_CALL_BUDGET[function]}"
+    )
+
+
+def test_check_counts_per_step_calls():
+    source = (
+        "def f(xs, split):\n    a = np.zeros(3)\n"
+        "    for x in zip(xs, g(xs)):\n        np.add(x, a, a)\n"
+        "        if split:\n            np.dot(x, a)\n        h(k(x))\n    return a\n"
+    )
+    assert per_step_calls(source, "f") == (3, 4)

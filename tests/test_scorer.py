@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdet import trainer
 from switchdet.exceptions import DomainError
@@ -482,27 +484,30 @@ def perturbed_models(rng, m, d, h, s):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_stacked_gates_equal_per_gate_matvecs(m):
-    # forward_sequence serves both gates with one matvec of [u_z; u_h] when
-    # 4 divides H, which relies on the BLAS gemv rounding each row as it
-    # does in u_z or u_h alone.  The default H = 32 must keep that.
+    # forward_sequence serves its three gate blocks with one matvec of
+    # [u_z; -u_z; u_h] when 4 divides H, which relies on the BLAS gemv
+    # rounding each row as it does in u_z or u_h alone, and on negation
+    # commuting with the sum.  The default H = 32 must keep that.
     rng = np.random.default_rng(32)
     h = 32
     u_z, u_h = rng.normal(size=(2, m, h, h))
     hs = rng.uniform(-1, 1, size=(m, h))
-    stacked_u = np.concatenate((u_z, u_h), axis=-2)
-    for i in range(m):
-        both = np.dot(stacked_u[i], hs[i])
-        per_gate = np.concatenate((np.dot(u_z[i], hs[i]), np.dot(u_h[i], hs[i])))
-        assert both.tobytes() == per_gate.tobytes(), (
-            "this BLAS rounds one matvec of [u_z; u_h] differently from the "
-            "per-gate matvecs at H = 32; forward_sequence's `hd % 4 == 0` rule "
-            "does not hold for it"
-        )
+    stacked_u = np.concatenate((u_z, -u_z, u_h), axis=-2)
+    rule = ("forward_sequence's `hd % 4 == 0` rule (one matvec of the stacked "
+            "[u_z; -u_z; u_h] for 4 | H) does not hold for this BLAS")
     batched = np.matmul(stacked_u, hs[..., None])[..., 0]
-    per_model = np.stack([np.dot(stacked_u[i], hs[i]) for i in range(m)])
-    assert batched.tobytes() == per_model.tobytes(), (
-        "this BLAS rounds a batched np.matmul matvec differently from np.dot"
-    )
+    for i in range(m):
+        per_block = np.concatenate(
+            (np.dot(u_z[i], hs[i]), -np.dot(u_z[i], hs[i]), np.dot(u_h[i], hs[i]))
+        )
+        assert np.dot(stacked_u[i], hs[i]).tobytes() == per_block.tobytes(), (
+            f"np.dot of [u_z; -u_z; u_h] rounds differently from the per-block "
+            f"matvecs at H = 32: {rule}"
+        )
+        assert batched[i].tobytes() == per_block.tobytes(), (
+            f"batched np.matmul of [u_z; -u_z; u_h] rounds differently from the "
+            f"per-block np.dot matvecs at H = 32: {rule}"
+        )
 
 
 class TestStack:
@@ -623,3 +628,46 @@ class TestStack:
             fd = (lp[idx[0]] - lm[idx[0]]) / (2 * eps)
             g = grads.flat[idx]
             assert abs(fd - g) / max(1e-6, abs(fd) + abs(g)) < 1e-5, (idx, fd, g)
+
+
+@st.composite
+def scorer_cases(draw):
+    """(models, params, xs, h0, seed): one model, or a stack of 1-4 models
+    as params, with the hidden size drawn both as a multiple of 4, where the
+    forward serves its three gate blocks with one matvec, and at large."""
+    d = draw(st.integers(1, 8))
+    h = draw(st.one_of(st.sampled_from(range(4, 41, 4)), st.integers(1, 40)))
+    s = draw(st.sampled_from([2, 4, 8]))
+    t = draw(st.integers(1, 150))
+    m = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    models = perturbed_models(rng, m or 1, d, h, s)
+    params = models[0] if m is None else stacked(models)
+    h0 = rng.uniform(-1, 1, size=params.flat.shape[:-1] + (h,)) if draw(st.booleans()) else None
+    return models, params, rng.normal(size=(t, d)), h0, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scorer_cases())
+def test_matches_reference_loops_at_random_shapes(case):
+    models, params, xs, h0, seed = case
+    logits, cache = forward_sequence(params, xs, h0)
+    dlogits = np.random.default_rng(seed).normal(size=logits.shape)
+    grads = backward_sequence(cache, dlogits)
+    stack = params.flat.ndim == 2
+    for i, q in enumerate(models):
+        def model_i(a):
+            return a[i] if stack else a
+
+        ref_logits, ref_cache = reference_forward_sequence(
+            q, xs, None if h0 is None else model_i(h0)
+        )
+        assert_same_bits(model_i(logits), ref_logits, f"model {i} logits")
+        for name in CACHE_FIELDS[1:]:
+            assert_same_bits(model_i(getattr(cache, name)), getattr(ref_cache, name),
+                             f"model {i} {name}")
+        ref_grads = reference_backward_sequence(ref_cache, model_i(dlogits))
+        for name in PARAM_FIELDS:
+            assert_same_bits(model_i(getattr(grads, name)), getattr(ref_grads, name),
+                             f"model {i} d{name}")

@@ -363,6 +363,22 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_alpha(train_set, eval_set, [], [1], TrainConfig())
 
+    @pytest.mark.parametrize("alphas, switch_counts, seeds, match", [
+        ([0.0, 0.01, 0.0], [1], (0,), "repeated alphas in the sweep grid: 0.0"),
+        ([0.0], [2, 1, 2, 1], (0,), "repeated switch counts in the sweep grid: 1, 2"),
+        ([0.0], [1], (3, 3), "repeated seeds in the sweep grid: 3"),
+    ], ids=["alphas", "switch-counts", "seeds"])
+    def test_repeated_grid_values(self, monkeypatch, alphas, switch_counts, seeds, match):
+        def no_training(*args):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(trainer, "_run_stack", no_training)
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", no_training)
+        train_set, eval_set = tiny_split()
+        with pytest.raises(DomainError, match=match):
+            sweep_alpha(train_set, eval_set, alphas, switch_counts, TrainConfig(),
+                        seeds=seeds, jobs=2)
+
     def test_run_cell_reports_counts(self):
         train_set, eval_set = tiny_split()
         row = run_cell(train_set, eval_set, TrainConfig(epochs=1, hidden_dim=8))

@@ -194,12 +194,23 @@ def cmd_train(args) -> dict:
 
 
 def cmd_infer(args) -> dict:
-    config = SwitchConfig(args.num_switches)
+    # The switch count k comes from the checkpoint's S = 2^k states; the
+    # flag, when given, is checked against it.
+    flagged = None if args.num_switches is None else SwitchConfig(args.num_switches)
     params = load_checkpoint(args.checkpoint)
+    s = params.num_states
+    k = s.bit_length() - 1
+    if s != 1 << k or not 1 <= k <= MAX_SWITCHES:
+        raise DomainError(f"{args.checkpoint}: {s} states is not 2^k "
+                          f"for a switch count k in [1, {MAX_SWITCHES}]")
+    config = SwitchConfig(k)
+    if flagged not in (None, config):
+        raise DomainError(f"--num-switches {flagged.num_switches} does not match "
+                          f"{args.checkpoint}, whose {s} states give k = {k}")
     features = read_features(args.features)
     instances = infer_instances(params, features, config)
     write_instances(args.out, {args.video_id: instances})
-    return {"num_switches": args.num_switches, "video_id": args.video_id}
+    return {"num_switches": k, "video_id": args.video_id}
 
 
 def cmd_eval_f1(args) -> dict:
@@ -337,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("infer", cmd_infer, "run a checkpoint over a feature stream")
     p.add_argument("--checkpoint", type=_In, required=True)
     p.add_argument("--features", type=_In, required=True)
-    p.add_argument("--num-switches", type=int, required=True)
+    p.add_argument("--num-switches", type=int, default=None,
+                   help="optional check of the checkpoint's switch count")
     p.add_argument("--video-id", default=_VIDEO_ID)
     p.add_argument("--out", type=_Out, required=True)
 

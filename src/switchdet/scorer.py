@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +95,7 @@ class ForwardCache:
     """Intermediates retained by forward_sequence for the backward pass.
 
     The hidden arrays carry the parameters' leading model axis, if any.
+    They are C-contiguous and the caller's own: no later call writes them.
     """
 
     params: ScorerParams
@@ -126,23 +130,98 @@ def _read_only(value: float) -> np.ndarray:
 _ONE = _read_only(1.0)
 
 
-def _matvec(stacked: bool):
-    """The per-step matvec and the view the loops give their per-step arrays.
+def _bound_matvecs(*mats: np.ndarray) -> list:
+    """The per-step matvec by each matrix, as a callable ``f(v, out)``.
 
-    ``np.dot`` of 2-D matrices and 1-D vectors for one model.  A stack's
-    per-step arrays are (M, H, 1) column views, so that one batched
-    ``np.matmul`` does all M matvecs.  Both equal per-model ``np.dot`` bit
-    for bit.
+    One model's 2-D matrices give their bound ``ndarray.dot``: the routine
+    ``np.dot`` calls, without its dispatcher's Python frame.  A stack's
+    (M, H, H) matrices give one batched ``np.matmul`` over the (M, H, 1)
+    column views of ``_column_view``.  Both equal per-model ``np.dot`` bit
+    for bit.  No lambda: a Python frame per matvec is what this avoids.
     """
-    if stacked:
-        return np.matmul, lambda a: a[..., None]
-    return np.dot, lambda a: a
+    if mats[0].ndim == 2:
+        return [m.dot for m in mats]
+    return [partial(np.matmul, m) for m in mats]
+
+
+def _column_view(lead: tuple):
+    """The view the loops give their per-step arrays: as they are for one
+    model, (M, H, 1) columns for a stack."""
+    return (lambda a: a[..., None]) if lead else (lambda a: a)
 
 
 def _swap_stack(a: np.ndarray) -> np.ndarray:
     """A stack's ``(M, T, X)`` as a ``(T, M, X)`` view, and back; one
     model's ``(T, X)`` as it is."""
     return a if a.ndim == 2 else a.swapaxes(0, 1)
+
+
+# Each thread's workspaces, one per loop: the step-major buffers of the last
+# window shape the thread ran and the per-step views the loop walks.
+_WORKSPACES = threading.local()
+
+
+def _workspace(build, t: int, lead: tuple, hd: int) -> SimpleNamespace:
+    """``build(t, lead, hd)`` for the calling thread: reused while its key
+    (T, leading model shape, H) repeats, replaced when the key changes.
+    Nothing a caller holds may be a view of it, since the next call of the
+    same shape overwrites it."""
+    key = (t, lead, hd)
+    held = getattr(_WORKSPACES, build.__name__, None)
+    if held is None or held[0] != key:
+        held = (key, build(t, lead, hd))
+        setattr(_WORKSPACES, build.__name__, held)
+    return held[1]
+
+
+def _forward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
+    col = _column_view(lead)
+    ws = SimpleNamespace()
+    # The input part [xa_z | -xa_z | xa_h] of every step's gate row.
+    ws.xa = np.empty((t,) + lead + (3 * hd,))
+    # A step's gate row is [0 | a_z | -a_z | a_h]: one minimum of its middle
+    # half against its first half gives [min(a_z, 0), -|a_z|].  No step
+    # writes the first block, so it stays 0 across calls.
+    row = np.zeros(lead + (4 * hd,))
+    ws.pre, ws.low, ws.mid, ws.a_h = (
+        col(row[..., hd:]), col(row[..., :2 * hd]),
+        col(row[..., hd:3 * hd]), col(row[..., 3 * hd:]),
+    )
+    # The three gate blocks, when each takes its own matvec.
+    ws.blocks = col(row[..., hd:2 * hd]), col(row[..., 2 * hd:3 * hd]), ws.a_h
+    # Numerator and denominator exps of the sigmoid, one exp call for both.
+    exps = np.empty(lead + (2 * hd,))
+    ws.num, ws.neg_abs, ws.exps = col(exps[..., :hd]), col(exps[..., hd:]), col(exps)
+    ws.den = col(np.empty(lead + (hd,)))
+    # kz[i] = [1 - z, z] and hc = [h0, cand, h, cand, h, ...], so that step
+    # i's kz[i] * hc[2i:2i+2] = [(1 - z) * h_prev, z * cand] is one product.
+    ws.kz = kz = np.empty((t, 2) + lead + (hd,))
+    ws.hc = hc = np.empty((2 * t + 1,) + lead + (hd,))
+    ws.pairs = pairs = hc[:-1].reshape(kz.shape)  # pairs[i] = [h_prev, cand] of step i
+    ws.h0 = col(hc[0])
+    ws.mix = mix = col(np.empty((2,) + lead + (hd,)))
+    ws.mix_keep, ws.mix_new = mix
+    ws.steps = list(zip(
+        *(col(v) for v in (ws.xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2]))
+    ))
+    return ws
+
+
+def _backward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
+    col = _column_view(lead)
+    ws = SimpleNamespace()
+    # f[i] = [cand - h_prev, z, 1 - z], g[i] = [z, 1 - cand^2, 1] and
+    # d[i] = [da_z, da_h, carry into step i - 1]; g's last row stays 1.
+    ws.f = f = np.empty((t, 3) + lead + (hd,))
+    ws.g = g = np.empty_like(f)
+    g[:, 2] = 1.0
+    ws.d = d = np.empty_like(f)
+    ws.dh_out = np.empty(lead + (t, hd))
+    ws.dh, ws.back = col(np.empty((2,) + lead + (hd,)))
+    ws.carry0 = col(np.zeros(lead + (hd,)))
+    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, _swap_stack(ws.dh_out))
+    ws.steps = list(zip(*(col(r[::-1]) for r in rows)))
+    return ws
 
 
 def forward_step(
@@ -162,9 +241,10 @@ def forward_sequence(
     and passing the last hidden state as the next h0 continues a stream.
     A stack of M models runs over the same xs, with h0, the logits and the
     cache's hidden arrays (M, H), (M, T, S) and (M, T, H).  Each step writes
-    in place into buffers allocated once per call.  They are laid out step
-    by step, so that one call covers operands that would otherwise take two
-    or three, and the cache's hidden arrays are views of them.
+    in place into the thread's workspace for this window shape, whose
+    buffers are laid out step by step, so that one call covers operands that
+    would otherwise take two or three.  The cache's hidden arrays are
+    C-contiguous copies of them.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.feature_dim:
@@ -182,37 +262,18 @@ def forward_sequence(
     if h0.shape != lead + (hd,):
         raise DomainError(f"h0 shape {h0.shape} != {lead + (hd,)}")
     w_z, u_z, b_z, w_h, u_h, b_h, w_o, b_o = params.arrays()
+    ws = _workspace(_forward_workspace, t, lead, hd)
 
-    # The input part [xa_z | -xa_z | xa_h] of every step's gate row, biases
-    # included.  Two projections: one of the stacked [w_z; w_h] rounds
-    # differently.
-    xa = np.empty((t,) + lead + (3 * hd,))
+    # The input part of the gate rows, biases included.  Two projections:
+    # one of the stacked [w_z; w_h] rounds differently.
+    xa = ws.xa
     by_model = _swap_stack(xa)
     np.matmul(xs, np.swapaxes(w_z, -1, -2), out=by_model[..., :hd])
     np.matmul(xs, np.swapaxes(w_h, -1, -2), out=by_model[..., 2 * hd:])
     xa[..., :hd] += b_z
     xa[..., 2 * hd:] += b_h
     np.negative(xa[..., :hd], xa[..., hd:2 * hd])
-    # A step's gate row is [0 | a_z | -a_z | a_h]: one minimum of its middle
-    # half against its first half gives [min(a_z, 0), -|a_z|].
-    matvec, col = _matvec(bool(lead))
-    row = np.zeros(lead + (4 * hd,))
-    pre, low, mid, a_h = (
-        col(row[..., hd:]), col(row[..., :2 * hd]),
-        col(row[..., hd:3 * hd]), col(row[..., 3 * hd:]),
-    )
-    # Numerator and denominator exps of the sigmoid, one exp call for both.
-    exps = np.empty(lead + (2 * hd,))
-    num, neg_abs, exps = col(exps[..., :hd]), col(exps[..., hd:]), col(exps)
-    den = col(np.empty(lead + (hd,)))
-    # kz[i] = [1 - z, z] and hc = [h0, cand, h, cand, h, ...], so that step
-    # i's kz[i] * hc[2i:2i+2] = [(1 - z) * h_prev, z * cand] is one product.
-    kz = np.empty((t, 2) + lead + (hd,))
-    hc = np.empty((2 * t + 1,) + lead + (hd,))
-    hc[0] = h0
-    pairs = hc[:-1].reshape(kz.shape)  # pairs[i] = [h_prev, cand] of step i
-    mix = col(np.empty((2,) + lead + (hd,)))
-    mix_keep, mix_new = mix
+    ws.hc[0] = h0
     # One matvec of the stacked [u_z; -u_z; u_h] for the three gate blocks.
     # Checked for H = 1-79 on OpenBLAS 0.3.31 (the scipy-openblas64 build
     # bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX core), whose dgemv
@@ -224,22 +285,24 @@ def forward_sequence(
     # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.
     split = hd % 4 != 0
     if split:
-        u_a, out_a = u_z, col(row[..., hd:2 * hd])
-        u_b, out_b, u_c, out_c = -u_z, col(row[..., 2 * hd:3 * hd]), u_h, a_h
+        matvec_a, matvec_b, matvec_c = _bound_matvecs(u_z, -u_z, u_h)
+        out_a, out_b, out_c = ws.blocks
     else:
-        u_a, out_a = np.concatenate((u_z, -u_z, u_h), axis=-2), pre
+        (matvec_a,) = _bound_matvecs(np.concatenate((u_z, -u_z, u_h), axis=-2))
+        out_a = ws.pre
+    pre, low, mid, a_h = ws.pre, ws.low, ws.mid, ws.a_h
+    num, neg_abs, exps, den = ws.num, ws.neg_abs, ws.exps, ws.den
+    mix, mix_keep, mix_new = ws.mix, ws.mix_keep, ws.mix_new
     # Local names for the ufuncs: looking np and its attribute up on every
     # call is a measurable share of a call on rows this short.
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     minimum, exp, tanh = np.minimum, np.exp, np.tanh
-    h = col(hc[0])
-    for a, kz_i, keep, z, cand, pair, h_next in zip(
-        *(col(v) for v in (xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2]))
-    ):
-        matvec(u_a, h, out_a)
+    h = ws.h0
+    for a, kz_i, keep, z, cand, pair, h_next in ws.steps:
+        matvec_a(h, out_a)
         if split:
-            matvec(u_b, h, out_b)
-            matvec(u_c, h, out_c)
+            matvec_b(h, out_b)
+            matvec_c(h, out_c)
         add(pre, a, pre)
         # z = sigmoid(a_z) as exp(min(a_z, 0)) / (1 + exp(-|a_z|)): that is
         # 1 / (1 + exp(-a_z)) where a_z >= 0 and exp(a_z) / (1 + exp(a_z))
@@ -254,8 +317,11 @@ def forward_sequence(
         multiply(kz_i, pair, mix)
         add(mix_keep, mix_new, h_next)
         h = h_next
+    # Copies, not views: the next call of this shape overwrites the workspace.
+    # Not ascontiguousarray, which hands out a view at T = 1.
     h_prev, z_all, cand_all, h_all = (
-        _swap_stack(a) for a in (pairs[:, 0], kz[:, 1], pairs[:, 1], hc[2::2])
+        _swap_stack(a).copy()
+        for a in (ws.pairs[:, 0], ws.kz[:, 1], ws.pairs[:, 1], ws.hc[2::2])
     )
     logits = np.matmul(h_all, np.swapaxes(w_o, -1, -2))
     logits += b_o[..., None, :]
@@ -273,8 +339,8 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     step by step for the whole window first, f[i] = [cand - h_prev, z, 1 - z]
     and g[i] = [z, 1 - cand^2, 1], so that one product gives all three rows
     of d[i] = [da_z, da_h, carry into step i - 1].  Each step writes in place
-    into buffers allocated once per call, keeping the operand order of every
-    product; the product by 1 is exact.
+    into the thread's workspace for this window shape, keeping the operand
+    order of every product; the product by 1 is exact.
     """
     p = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
@@ -288,28 +354,21 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     hd = p.hidden_dim
     dlogits = np.ascontiguousarray(dlogits)
     h_prev, z_all, h_cand = (_swap_stack(a) for a in (cache.h_prev, cache.z, cache.h_cand))
-    dh_out = _swap_stack(np.matmul(dlogits, w_o))
+    ws = _workspace(_backward_workspace, t, lead, hd)
+    np.matmul(dlogits, w_o, out=ws.dh_out)
 
-    f = np.empty((t, 3) + lead + (hd,))
+    f, g, d = ws.f, ws.g, ws.d
     np.subtract(h_cand, h_prev, f[:, 0])
     f[:, 1] = z_all
     np.subtract(_ONE, z_all, f[:, 2])
-    g = np.empty_like(f)
     g[:, 0] = z_all
     np.multiply(h_cand, h_cand, g[:, 1])
     np.subtract(_ONE, g[:, 1], g[:, 1])
-    g[:, 2] = 1.0
-    d = np.empty_like(f)
-    matvec, col = _matvec(bool(lead))
-    dh, back = col(np.empty((2,) + lead + (hd,)))
-    carry = col(np.zeros(lead + (hd,)))
-    u_z_t, u_h_t = np.swapaxes(u_z, -1, -2), np.swapaxes(u_h, -1, -2)
+    dh, back, carry = ws.dh, ws.back, ws.carry0
+    matvec_z, matvec_h = _bound_matvecs(np.swapaxes(u_z, -1, -2), np.swapaxes(u_h, -1, -2))
     # Local names for the ufuncs, as in forward_sequence.
     add, multiply = np.add, np.multiply
-    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, dh_out)
-    for d_i, da_z, da_h, carry_i, f_i, omz, g_i, dh_o in zip(
-        *(col(r[::-1]) for r in rows)
-    ):
+    for d_i, da_z, da_h, carry_i, f_i, omz, g_i, dh_o in ws.steps:
         add(dh_o, carry, dh)
         # [da_z, da_h, carry] = [dh * (cand - h_prev) * z * (1 - z),
         #                        dh * z * (1 - cand^2), dh * (1 - z)]
@@ -318,9 +377,9 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         multiply(da_z, omz, da_z)
         # carry += u_z^T da_z + u_h^T da_h; one matvec over the stacked
         # [u_z; u_h] would round differently.
-        matvec(u_z_t, da_z, back)
+        matvec_z(da_z, back)
         add(carry_i, back, carry_i)
-        matvec(u_h_t, da_h, back)
+        matvec_h(da_h, back)
         add(carry_i, back, carry_i)
         carry = carry_i
 

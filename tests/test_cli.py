@@ -290,6 +290,49 @@ class TestInferInput:
         assert not (tmp_path / "preds.jsonl.manifest.json").exists()
 
 
+class TestInferSwitchCount:
+    """infer takes k from the checkpoint's S = 2^k states; --num-switches
+    is an optional check of it."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        feats, ckpt = tmp_path / "x.aswf", tmp_path / "m.aswp"
+        write_features(feats, np.random.default_rng(0).normal(size=(300, 16)))
+        save_checkpoint(ckpt, init_params(16, 8, 8, seed=0))  # S = 8, k = 3
+        return ckpt, feats
+
+    def test_flag_is_optional_and_changes_nothing(self, inputs, tmp_path):
+        ckpt, feats = inputs
+        for name, flag in (("given", ["--num-switches", 3]), ("default", [])):
+            assert run("infer", "--checkpoint", ckpt, "--features", feats, *flag,
+                       "--out", tmp_path / f"{name}.jsonl") == 0
+        given, default = (tmp_path / f"{n}.jsonl" for n in ("given", "default"))
+        assert default.read_bytes() == given.read_bytes()
+        manifests = [json.loads(p.with_name(p.name + ".manifest.json").read_text())
+                     for p in (given, default)]
+        assert [m["config"] for m in manifests] == [
+            {"num_switches": 3, "video_id": "video"}] * 2
+
+    def test_mismatched_flag_exits_2(self, inputs, tmp_path, capsys):
+        ckpt, feats = inputs
+        out = tmp_path / "p.jsonl"
+        assert run("infer", "--checkpoint", ckpt, "--features", feats,
+                   "--num-switches", 2, "--out", out) == 2
+        assert "whose 8 states give k = 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("states", [1, 6, 1 << 17])
+    @pytest.mark.parametrize("flag", [[], ["--num-switches", 2]], ids=["default", "flag"])
+    def test_state_count_not_a_switch_power_exits_2(self, tmp_path, capsys, states, flag):
+        feats, ckpt, out = tmp_path / "x.aswf", tmp_path / "m.aswp", tmp_path / "p.jsonl"
+        write_features(feats, np.zeros((5, 2)))
+        save_checkpoint(ckpt, init_params(2, 1, states, seed=0))
+        assert run("infer", "--checkpoint", ckpt, "--features", feats, *flag,
+                   "--out", out) == 2
+        assert f"{states} states is not 2^k" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigDataErrors:
     """Settings a config rejects exit 2 before any stream is generated or read,
     and a training set without frames exits 2; none writes an output."""

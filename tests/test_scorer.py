@@ -630,6 +630,33 @@ class TestStack:
             assert abs(fd - g) / max(1e-6, abs(fd) + abs(g)) < 1e-5, (idx, fd, g)
 
 
+class TestWorkspace:
+    """Each thread reuses one forward and one backward workspace per window
+    shape; nothing a call returns may be a view of it."""
+
+    @pytest.mark.parametrize("t", [1, 37])
+    @pytest.mark.parametrize("m", [None, 2], ids=["one-model", "stack"])
+    def test_later_calls_leave_earlier_results_unchanged(self, m, t):
+        rng = np.random.default_rng(40 + t)
+        d, h, s = 5, 8, 4
+
+        def call(t):
+            """Logits, gradients and cache fields of a call on fresh
+            parameters and inputs."""
+            models = perturbed_models(rng, m or 1, d, h, s)
+            params = models[0] if m is None else stacked(models)
+            h0 = rng.uniform(-1, 1, size=params.flat.shape[:-1] + (h,))
+            logits, cache = forward_sequence(params, rng.normal(size=(t, d)), h0)
+            grads = backward_sequence(cache, rng.normal(size=logits.shape))
+            return [logits, grads.flat] + [getattr(cache, n) for n in CACHE_FIELDS]
+
+        first = call(t)
+        want = [a.tobytes() for a in first]
+        for shape in (t, t + 3, t):  # the same shape, another one, the same again
+            call(shape)
+            assert [a.tobytes() for a in first] == want
+
+
 @st.composite
 def scorer_cases(draw):
     """(models, params, xs, h0, seed): one model, or a stack of 1-4 models

@@ -1,3 +1,5 @@
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -129,6 +131,36 @@ class TestTrain:
         pb, _ = train([video], config)
         for a, b in zip(pa.arrays(), pb.arrays()):
             assert np.array_equal(a, b)
+
+    def test_threads_training_at_once_match_serial_runs(self):
+        # The scorer's workspaces are per thread: two threads that train on
+        # the same window shape at the same time must not share buffers.
+        video = constant_state_video(length=512)
+        configs = [TrainConfig(epochs=2, bptt_len=64, hidden_dim=8, seed=s) for s in (1, 2)]
+
+        def run(config):
+            params, history = train([video], config)
+            return params.flat.tobytes(), [e.to_json() for e in history]
+
+        serial = [run(config) for config in configs]
+        threaded = [None, None]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait()
+            threaded[i] = run(configs[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over inside the per-frame loops
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     @pytest.mark.parametrize("hidden_dim", [8, 5], ids=["one-matvec", "matvec-per-gate"])
     def test_stack_equals_each_model_alone(self, hidden_dim):

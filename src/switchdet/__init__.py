@@ -11,7 +11,6 @@ from .exceptions import (
 from .losses import (
     LossResult,
     batched_cc_loss,
-    conservativeness_term,
     sequence_loss_and_grad,
 )
 from .metrics import (
@@ -22,7 +21,6 @@ from .metrics import (
     hungarian_assign,
     interval_map,
     point_map,
-    tiou,
 )
 from .scorer import (
     ScorerParams,
@@ -38,17 +36,15 @@ from .switchboard import (
     EncodeReport,
     StreamDecoder,
     SwitchConfig,
-    active_switches,
     decode_sequence,
     decode_streaming,
     encode_instances,
 )
-from .synthgen import SynthConfig, generate_stream
+from .synthgen import SynthConfig, concurrency_profile, generate_stream
 from .trainer import (
     SweepRow,
     TrainConfig,
     infer_instances,
-    run_cell,
     sweep_alpha,
     train,
 )
@@ -70,10 +66,9 @@ __all__ = [
     "SwitchDetError",
     "SynthConfig",
     "TrainConfig",
-    "active_switches",
     "backward_sequence",
     "batched_cc_loss",
-    "conservativeness_term",
+    "concurrency_profile",
     "decode_sequence",
     "decode_streaming",
     "encode_instances",
@@ -87,10 +82,8 @@ __all__ = [
     "interval_map",
     "load_checkpoint",
     "point_map",
-    "run_cell",
     "save_checkpoint",
     "sequence_loss_and_grad",
     "sweep_alpha",
-    "tiou",
     "train",
 ]

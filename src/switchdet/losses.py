@@ -44,19 +44,6 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def conservativeness_term(logits_t, prev_state: int) -> float:
-    """Penalty at one frame: -log p[prev_state] if argmax moved off it, else 0."""
-    row = _as_finite(logits_t, "logits_t", ndim=1)
-    s = row.shape[0]
-    if s < 2:
-        raise DomainError(f"need at least 2 states, got {s}")
-    if not (0 <= prev_state < s):
-        raise DomainError(f"prev_state {prev_state} out of range for {s} states")
-    if int(np.argmax(row)) == prev_state:
-        return 0.0
-    return float(-log_softmax(row)[prev_state])
-
-
 def sequence_loss_and_grad(logits, gt_states, alpha) -> LossResult:
     """Combined loss over one sequence and its exact gradient w.r.t. logits.
 

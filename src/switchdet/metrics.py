@@ -40,15 +40,6 @@ from .switchboard import (
 _NO_SPANS = np.empty((0, 2), dtype=np.int64)
 
 
-def tiou(a: ActionInterval, b: ActionInterval) -> float:
-    """Temporal IoU over inclusive frame index intervals."""
-    inter = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame) + 1
-    if inter <= 0:
-        return 0.0
-    union = a.num_frames + b.num_frames - inter
-    return inter / union
-
-
 def _spans(intervals) -> np.ndarray:
     """(n, 2) int64 array of inclusive [start, end] frames."""
     pairs = [(iv.start_frame, iv.end_frame) for iv in intervals]
@@ -81,7 +72,7 @@ def _columns(videos: Mapping) -> dict[str, IntervalColumns]:
 
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Temporal IoU of broadcastable (..., 2) span arrays; equals tiou."""
+    """Temporal IoU of broadcastable (..., 2) span arrays of inclusive frames."""
     inter = np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]) + 1
     np.maximum(inter, 0, out=inter)
     return inter / ((a[..., 1] - a[..., 0] + 1) + (b[..., 1] - b[..., 0] + 1) - inter)

@@ -10,6 +10,7 @@ into intervals online with one frame of latency on the closing edge.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -129,14 +130,8 @@ class IntervalColumns(Sequence):
         return len(self.spans)
 
     def __getitem__(self, index: int) -> ActionInterval:
-        start, end = self.spans[index].tolist()
-        return ActionInterval(
-            start,
-            end,
-            None if self.classless[index] else int(self.class_ids[index]),
-            None if self.scoreless[index] else float(self.scores[index]),
-            bool(self.truncated[index]),
-        )
+        (interval,) = self.select([index])
+        return interval
 
     def __iter__(self):
         class_ids = [
@@ -167,18 +162,16 @@ class EncodeReport:
 
 
 def check_state(value: int, config: SwitchConfig) -> int:
-    value = int(value)
+    """``value`` as an int, if it is a state of ``config``; a float is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"state {value!r} is not an integer") from None
     if not (0 <= value < config.num_states):
         raise DomainError(
             f"state {value} out of range for {config.num_switches} switches"
         )
     return value
-
-
-def active_switches(state: int, config: SwitchConfig) -> set[int]:
-    """1-based indices of the switches whose ids sum to ``state``."""
-    state = check_state(state, config)
-    return {j + 1 for j in range(config.num_switches) if state >> j & 1}
 
 
 def encode_instances(
@@ -243,14 +236,19 @@ def decode_sequence(states, config: SwitchConfig) -> list[ActionInterval]:
     Class-agnostic: decoded instances carry no class or score.  A run still
     open at the final frame is emitted with truncated=True.
     """
-    arr = np.asarray(states, dtype=np.int64)
+    arr = np.asarray(states)
     if arr.ndim != 1:
         raise DomainError(f"expected 1-d label sequence, got shape {arr.shape}")
     t = arr.shape[0]
+    # Checked before the int64 conversion, which would truncate a float label
+    # and overflow a huge one.
+    if t and arr.dtype.kind not in "biu":
+        raise DomainError(f"labels must be integers, got dtype {arr.dtype}")
     if t and (arr.min() < 0 or arr.max() >= config.num_states):
         raise DomainError(
             f"label out of range for {config.num_switches} switches"
         )
+    arr = arr.astype(np.int64, copy=False)
     out: list[ActionInterval] = []
     for j in range(config.num_switches):
         bit = np.concatenate(([0], (arr >> j) & 1, [0]))
@@ -320,7 +318,7 @@ def decode_streaming(states, config: SwitchConfig) -> list[ActionInterval]:
     dec = StreamDecoder(config)
     out: list[ActionInterval] = []
     for frame, state in enumerate(states):
-        out.extend(dec.step(int(state), frame))
+        out.extend(dec.step(state, frame))
     out.extend(dec.finalize())
     out.sort(key=lambda a: a.span)
     return out

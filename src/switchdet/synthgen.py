@@ -57,12 +57,6 @@ class SynthConfig:
             )
 
 
-def class_signatures(num_classes: int, feature_dim: int, rng) -> np.ndarray:
-    """Random unit vectors, one per class."""
-    sigs = rng.normal(size=(num_classes, feature_dim))
-    return sigs / np.linalg.norm(sigs, axis=1, keepdims=True)
-
-
 def generate_stream(
     config: SynthConfig,
 ) -> tuple[np.ndarray, list[ActionInterval]]:
@@ -77,9 +71,11 @@ def generate_stream(
     sig_seed = (
         config.seed if config.signature_seed is None else config.signature_seed
     )
-    sigs = class_signatures(
-        config.num_classes, config.feature_dim, np.random.default_rng(sig_seed)
+    # One random unit vector per class.
+    sigs = np.random.default_rng(sig_seed).normal(
+        size=(config.num_classes, config.feature_dim)
     )
+    sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
 
     instances: list[ActionInterval] = []
     for t in range(config.length):

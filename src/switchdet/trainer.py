@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -235,31 +236,19 @@ class SweepRow:
         )
 
 
-def run_cell(
-    train_set: list[Video],
-    eval_set: list[Video],
-    config: TrainConfig,
-    tiou_threshold: float = 0.5,
-) -> SweepRow:
-    """Train one configuration and evaluate it on the held-out videos.
-
-    A DomainError from training or evaluation gives a row with NaN metrics
-    and the error message instead of being raised.
-    """
-    return _run_stack(train_set, eval_set, [config], tiou_threshold)[0]
-
-
 def _run_stack(
     train_set: list[Video],
     eval_set: list[Video],
     configs: list[TrainConfig],
     tiou_threshold: float,
 ) -> list[SweepRow]:
-    """run_cell for each of a stack's configs (same switch count), trained
-    and evaluated as one stack.
+    """Train each config (same switch count) and evaluate it on the
+    held-out videos, all configs as one stack.
 
-    A stack raises if any one of its models does, so a stack that raises is
-    rerun one cell at a time: each row is then the row of its own run_cell.
+    A DomainError from training or evaluation gives a row with NaN metrics
+    and the error message instead of being raised.  A stack raises if any
+    one of its models does, so a stack that raises is rerun one config at a
+    time: each row is then the row of that config trained alone.
     """
     try:
         params, _ = _train_stack(train_set, configs)
@@ -284,22 +273,6 @@ def _run_stack(
                          num_proposals=r.num_pred, num_gt=r.num_gt) for r in reports]
     return [SweepRow(num_switches=c.num_switches, alpha=c.alpha, seed=c.seed, **outcome)
             for c, outcome in zip(configs, outcomes)]
-
-
-# The train set, eval set and tIoU threshold of a sweep pool worker.  The
-# pool's initializer sets them once in each worker, never in the calling
-# process, so that each task is one stack's TrainConfigs.
-_worker_args: tuple[list[Video], list[Video], float] = ([], [], 0.5)
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _run_worker_stack(configs: list[TrainConfig]) -> list[SweepRow]:
-    train_set, eval_set, tiou_threshold = _worker_args
-    return _run_stack(train_set, eval_set, configs, tiou_threshold)
 
 
 def check_sweep_grid(alphas, switch_counts, seeds) -> None:
@@ -347,17 +320,13 @@ def sweep_alpha(
          for alpha in sorted(alphas) for seed in seeds]
         for k in sorted(switch_counts)
     ]
+    run = partial(_run_stack, train_set, eval_set, tiou_threshold=tiou_threshold)
     workers = min(jobs, len(stacks))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(train_set, eval_set, tiou_threshold),
-        ) as pool:
-            results = [r for rows in pool.map(_run_worker_stack, stacks) for r in rows]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [r for rows in pool.map(run, stacks) for r in rows]
     else:
-        results = [r for stack in stacks
-                   for r in _run_stack(train_set, eval_set, stack, tiou_threshold)]
+        results = [r for rows in map(run, stacks) for r in rows]
     for r in results:
         if r.error is not None:
             log.warning(

@@ -409,6 +409,18 @@ def test_reader_columns_are_read_only(tmp_path):
     assert back[-1].span == (3, 9)
 
 
+def test_columns_index_as_their_list(tmp_path):
+    path = tmp_path / "inst.jsonl"
+    write_instances(path, {"v": [ActionInterval(0, 4, class_id=2),
+                                 ActionInterval(3, 9, score=0.5, truncated=True)]})
+    back = read_instances(path)["v"]
+    listed = [_fields(inst) for inst in back]
+    assert [_fields(back[i]) for i in range(-2, 2)] == listed + listed
+    for index in (2, -3):
+        with pytest.raises(IndexError):
+            back[index]
+
+
 @pytest.mark.parametrize("inst, problem", [
     (ActionInterval(0, 9, score=float("nan")), "score must be finite"),
     (ActionInterval(0, 9, score=-float("inf")), "score must be finite"),

@@ -61,6 +61,17 @@ def test_check_sees_einsum():
     assert einsum_uses(source) == [2, 3, 4]
 
 
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Every name and attribute that the tree loads."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return loaded
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_names`` and class ``_methods`` that no source loads.
 
@@ -69,6 +80,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     defined, loaded = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        loaded |= loaded_names(tree)
         scopes = [(module, n) for n in tree.body] + [
             (f"{module}.{c.name}", n)
             for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body
@@ -85,11 +97,6 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             for name in names:
                 if name.startswith("_") and not name.endswith("__"):
                     defined[f"{scope}.{name}"] = (name, node.lineno)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
     return [f"{key} (line {line})" for key, (name, line) in sorted(defined.items())
             if name not in loaded]
 
@@ -112,6 +119,43 @@ def test_check_sees_unreferenced_private_names():
     }
     assert unreferenced_private_names(sources) == [
         "a.C._orphan (line 10)", "a._LEFT (line 2)",
+    ]
+
+
+def unexported_unused_public_names(sources: dict[str, str], exported) -> list[str]:
+    """Module-level public functions and classes that no source loads and
+    ``exported`` does not list: code that nothing in the package runs.
+
+    ``sources`` maps module names to their text.
+    """
+    defined, loaded = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        loaded |= loaded_names(tree)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[f"{module}.{node.name}"] = (node.name, node.lineno)
+    return [f"{key} (line {line})" for key, (name, line) in sorted(defined.items())
+            if name not in loaded and name not in exported]
+
+
+def test_every_public_name_is_used_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unexported_unused_public_names(sources, switchdet.__all__) == []
+
+
+def test_check_sees_unexported_unused_public_names():
+    sources = {
+        "a": (
+            "def used():\n    pass\ndef exported():\n    pass\n"
+            "def orphan():\n    pass\nclass Orphan:\n    def method(self):\n        pass\n"
+            "def _private():\n    pass\nLIMIT = 3\n"
+        ),
+        "b": "import a\na.used()\n",
+    }
+    assert unexported_unused_public_names(sources, ["exported"]) == [
+        "a.Orphan (line 7)", "a.orphan (line 5)",
     ]
 
 

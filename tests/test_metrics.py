@@ -16,9 +16,17 @@ from switchdet.metrics import (
     hungarian_assign,
     interval_map,
     point_map,
-    tiou,
 )
 from switchdet.switchboard import ActionInterval
+
+
+def tiou(a, b):
+    """Reference temporal IoU of two ActionIntervals over inclusive frames."""
+    inter = min(a.end_frame, b.end_frame) - max(a.start_frame, b.start_frame) + 1
+    if inter <= 0:
+        return 0.0
+    union = a.num_frames + b.num_frames - inter
+    return inter / union
 
 
 def brute_force_assignment_cost(cost):

@@ -8,7 +8,6 @@ from switchdet.switchboard import (
     ActionInterval,
     StreamDecoder,
     SwitchConfig,
-    active_switches,
     decode_sequence,
     decode_streaming,
     encode_instances,
@@ -26,26 +25,6 @@ class TestSwitchConfig:
     def test_rejects_bad_switch_count(self, k):
         with pytest.raises(DomainError):
             SwitchConfig(k)
-
-
-class TestActiveSwitches:
-    def test_both_switches_active(self):
-        assert active_switches(3, SwitchConfig(2)) == {1, 2}
-
-    def test_idle_state(self):
-        assert active_switches(0, SwitchConfig(3)) == set()
-
-    def test_bit_decomposition(self):
-        assert active_switches(5, SwitchConfig(3)) == {1, 3}
-
-    def test_ids_sum_to_state(self):
-        config = SwitchConfig(4)
-        for state in range(config.num_states):
-            assert sum(1 << (j - 1) for j in active_switches(state, config)) == state
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            active_switches(4, SwitchConfig(2))
 
 
 class TestActionInterval:
@@ -153,6 +132,19 @@ class TestDecode:
         with pytest.raises(DomainError, match="1-d"):
             decode_sequence([[0, 1], [1, 0]], SwitchConfig(1))
 
+    @pytest.mark.parametrize("states", [
+        [0.5, 1.7, 1.2], [0, 1.0], [0, float("nan")], [0, 2**70], ["1"],
+    ], ids=["fractions", "whole-float", "nan", "beyond-int64", "string"])
+    def test_rejects_non_integer_labels(self, states):
+        with pytest.raises(DomainError, match="labels must be integers"):
+            decode_sequence(states, SwitchConfig(1))
+
+    def test_accepts_empty_integer_and_boolean_labels(self):
+        config = SwitchConfig(1)
+        assert decode_sequence([], config) == []
+        for states in ([0, 1, 1], np.array([0, 1, 1], dtype=np.uint8), [False, True, True]):
+            assert spans(decode_sequence(states, config)) == [(1, 2)]
+
     def test_count_law(self):
         rng = np.random.default_rng(11)
         config = SwitchConfig(3)
@@ -184,6 +176,43 @@ class TestRoundTrip:
             assert report.dropped_instances == []
             assert report.merged_instances == []
             assert spans(decode_sequence(labels, config)) == spans(instances)
+
+
+@st.composite
+def instance_sets(draw):
+    """(k, length, instances, capped): capped sets keep concurrency <= k."""
+    k = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 48))
+    capped = draw(st.booleans())
+    candidates = draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.integers(0, 15)), max_size=12))
+    active = np.zeros(length, dtype=np.int64)
+    instances = []
+    for start, extra in candidates:
+        end = min(start + extra, length - 1)
+        if not capped or active[start : end + 1].max() < k:
+            active[start : end + 1] += 1
+            instances.append(ActionInterval(start, end))
+    return k, length, instances, capped
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instance_sets())
+def test_encode_decode_round_trip_property(case):
+    k, length, instances, capped = case
+    config = SwitchConfig(k)
+    labels, report = encode_instances(instances, length, config)
+    dropped = {i for i, inst in enumerate(instances)
+               if any(inst is d for d in report.dropped_instances)}
+    assigned = set(report.switch_assignment)
+    assert len(dropped) == len(report.dropped_instances)
+    assert not dropped & assigned
+    assert dropped | assigned == set(range(len(instances)))
+    assert set(report.merged_instances) <= assigned
+    if capped:
+        assert not dropped
+    if not dropped and not report.merged_instances:
+        assert spans(decode_sequence(labels, config)) == spans(instances)
 
 
 class TestStreamDecoder:
@@ -226,6 +255,16 @@ class TestStreamDecoder:
             dec.step(0, 0)
         with pytest.raises(ProtocolError, match="finalize"):
             dec.finalize()
+
+    @pytest.mark.parametrize("state, match", [
+        (1.9, "not an integer"), (1.0, "not an integer"),
+        (float("nan"), "not an integer"), (2**70, "out of range"),
+    ], ids=["fraction", "whole-float", "nan", "beyond-int64"])
+    def test_rejects_non_integer_state(self, state, match):
+        with pytest.raises(DomainError, match=match):
+            StreamDecoder(SwitchConfig(1)).step(state, 0)
+        with pytest.raises(DomainError, match=match):
+            decode_streaming([0, state], SwitchConfig(1))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -110,16 +110,26 @@ class TestGenerate:
         assert means[0] < means[1] < means[2]
 
     def test_shared_signature_seed_aligns_streams(self):
-        a = SynthConfig(length=200, arrival_rate=0.0, noise_sigma=0.0,
-                        seed=1, signature_seed=7)
-        b = SynthConfig(length=200, arrival_rate=0.0, noise_sigma=0.0,
-                        seed=2, signature_seed=7)
-        # different event streams, same class feature semantics
-        from switchdet.synthgen import class_signatures
-        sig_a = class_signatures(4, 16, np.random.default_rng(7))
-        sig_b = class_signatures(4, 16, np.random.default_rng(7))
-        assert np.array_equal(sig_a, sig_b)
-        generate_stream(a), generate_stream(b)
+        # Without noise, a frame where one instance is active holds exactly
+        # its class's signature, whatever the stream's own seed.
+        def solo_rows(seed, signature_seed):
+            cfg = SynthConfig(length=2000, arrival_rate=0.02, noise_sigma=0.0,
+                              seed=seed, signature_seed=signature_seed)
+            features, instances = generate_stream(cfg)
+            alone = concurrency_profile(instances, cfg.length) == 1
+            rows = {}
+            for inst in instances:
+                frames = np.flatnonzero(alone[inst.start_frame : inst.end_frame + 1])
+                rows.setdefault(inst.class_id, []).extend(
+                    features[inst.start_frame + frames])
+            return {c: np.unique(r, axis=0) for c, r in rows.items() if r}
+
+        a, b, other = solo_rows(1, 7), solo_rows(2, 7), solo_rows(2, 8)
+        assert sorted(a) == sorted(b) == sorted(other) == [0, 1, 2, 3]
+        for c in a:
+            assert a[c].shape == (1, 16)
+            assert np.array_equal(a[c], b[c])
+            assert not np.array_equal(a[c], other[c])
 
 
 class TestFeatureFile:

@@ -21,7 +21,6 @@ from switchdet.trainer import (
     Adam,
     TrainConfig,
     infer_instances,
-    run_cell,
     sweep_alpha,
     train,
 )
@@ -367,9 +366,9 @@ class TestSweep:
         with caplog.at_level("WARNING", logger="switchdet"):
             stacked = sweep_alpha(train_set, eval_set, **kwargs)
             stacked_warnings = warnings()
-        cells = [run_cell(train_set, eval_set,
-                          replace(base, num_switches=1, alpha=alpha, seed=seed))
-                 for alpha in (0.0, 0.05) for seed in (0, 1, 2)]
+        configs = [replace(base, num_switches=1, alpha=alpha, seed=seed)
+                   for alpha in (0.0, 0.05) for seed in (0, 1, 2)]
+        cells = [trainer._run_stack(train_set, eval_set, [c], 0.5)[0] for c in configs]
         per_cell_warnings = [
             f"sweep cell k=1 alpha={c.alpha:g} seed={c.seed} failed: {c.error}"
             for c in cells if c.error is not None]
@@ -385,7 +384,8 @@ class TestSweep:
         assert stacked_warnings == per_cell_warnings
         assert [m.split(" failed")[0] for m in stacked_warnings] == [
             "sweep cell k=1 alpha=0 seed=1", "sweep cell k=1 alpha=0.05 seed=1"]
-        alone = run_cell(train_set, eval_set, replace(base, num_switches=1, seed=1))
+        (alone,) = trainer._run_stack(
+            train_set, eval_set, [replace(base, num_switches=1, seed=1)], 0.5)
         assert alone.error == "non-finite values in w_o"
         assert all(alone.error in m for m in stacked_warnings)
         assert [r.error for r in stacked] == [None, None]
@@ -413,14 +413,16 @@ class TestSweep:
 
     def test_run_cell_reports_counts(self):
         train_set, eval_set = tiny_split()
-        row = run_cell(train_set, eval_set, TrainConfig(epochs=1, hidden_dim=8))
+        (row,) = trainer._run_stack(
+            train_set, eval_set, [TrainConfig(epochs=1, hidden_dim=8)], 0.5)
         assert row.num_gt == len(eval_set[0][1])
 
     def test_run_cell_returns_failure_as_row(self):
         train_set, eval_set = tiny_split()
         feats, insts = eval_set[0]
         wide = np.hstack([feats, np.zeros((feats.shape[0], 1))])
-        row = run_cell(train_set, [(wide, insts)], TrainConfig(epochs=1, hidden_dim=8))
+        (row,) = trainer._run_stack(
+            train_set, [(wide, insts)], [TrainConfig(epochs=1, hidden_dim=8)], 0.5)
         assert "features must be" in row.error
         assert np.isnan([row.f1, row.precision, row.recall]).all()
         assert (row.num_proposals, row.num_gt) == (0, 0)

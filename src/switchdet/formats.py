@@ -48,15 +48,16 @@ def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
     """Write per-video instance lists as JSON Lines, sorted for reproducibility.
 
-    A value read_instances would reject (_VALUE_RULES) is a DomainError
-    raised before the file is opened.
+    A record that read_instances would reject (_RULES: a bool, float or
+    numpy frame, a bool class id, a string score, a NaN score, ...) is a
+    DomainError raised before the file is opened.
     """
     records = [instance_to_record(video_id, inst) for video_id in sorted(videos)
                for inst in sorted(videos[video_id], key=lambda a: a.span)]
-    for field, ok, text in _VALUE_RULES:
-        if not ok([rec[field] for rec in records]):
-            rec = next(rec for rec in records if not ok([rec[field]]))
-            raise DomainError(f"{path}: bad instance record {rec!r}: {text}")
+    columns = {field: [rec[field] for rec in records] for field in _FIELDS}
+    _, problem = _first_broken_rule(records, columns, len(records))
+    if problem:
+        raise DomainError(f"{path}: {problem}")
     lines = [json.dumps(rec) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -92,15 +93,7 @@ def read_instances(path) -> dict[str, IntervalColumns]:
 
 
 _REQUIRED = operator.itemgetter("video_id", "start", "end")
-
-# The rules on values that JSON holds but the columns cannot, in the order
-# the reader checks them: (field, test of a whole column, message).  Ends
-# suffice for frames, since a start lies in [0, end].
-_VALUE_RULES = (
-    ("end", lambda ends: max(ends, default=0) < FRAME_LIMIT, "start and end must be below 2**62"),
-    ("class_id", fits_int64, "class_id must fit int64"),
-    ("score", all_finite, "score must be finite"),
-)
+_FIELDS = ("video_id", "start", "end", "class_id", "score", "truncated")
 
 
 def _lookup_error(rec) -> str | None:
@@ -117,19 +110,58 @@ def _types(*allowed):
     return lambda *columns: all(set(map(type, c)) <= allowed for c in columns)
 
 
+def _bad(text):
+    return lambda rec: f"bad instance record {rec!r}: {text}"
+
+
+# The rules on instance records, in the order they are checked: (fields, test
+# of whole columns, message for the first record that breaks it).  Nothing is
+# coerced: ``type(v) is`` tests keep bools out of the integer and number
+# fields, so the later rules see only values of their JSON types.  The last
+# three hold values that JSON holds but the columns cannot; ends suffice for
+# frames, since a start lies in [0, end].
+_RULES = (
+    (("video_id",), _types(str), _bad("video_id must be a string")),
+    (("start", "end"), _types(int), _bad("start and end must be integers")),
+    (("class_id",), _types(NoneType, int), _bad("class_id must be an integer or null")),
+    (("score",), _types(NoneType, float, int), _bad("score must be a number or null")),
+    (("truncated",), _types(bool), _bad("truncated must be true or false")),
+    # ActionInterval's own rules, with its messages.
+    (("start",), lambda s: min(s, default=0) >= 0,
+     lambda rec: f"negative start frame {rec['start']}"),
+    (("start", "end"), lambda s, e: not any(map(operator.gt, s, e)),
+     lambda rec: f"inverted interval [{rec['start']}, {rec['end']}]"),
+    (("end",), lambda ends: max(ends, default=0) < FRAME_LIMIT,
+     _bad("start and end must be below 2**62")),
+    (("class_id",), fits_int64, _bad("class_id must fit int64")),
+    (("score",), all_finite, _bad("score must be finite")),
+)
+
+
+def _first_broken_rule(recs, columns, first, problem=None):
+    """(row, message) of the first of ``recs[:first]`` that breaks a rule,
+    else (first, problem).
+
+    ``columns`` maps each field to its values in record order.  Each rule
+    holds for whole columns, and runs over the rows before the first failure
+    found so far; only when it fails is it run row by row.  The message is
+    thus that of the first bad record, with the first rule it breaks.
+    """
+    for fields, ok, message in _RULES:
+        values = [columns[field][:first] for field in fields]
+        if not ok(*values):
+            first = next(row for row, row_values in enumerate(zip(*values))
+                         if not ok(*([v] for v in row_values)))
+            problem = message(recs[first])
+    return first, problem
+
+
 def _check_records(path, recs, line_nos):
     """Columns of decoded records; raises for the first invalid one by line.
 
-    Nothing is coerced: a float frame (3.7), a bool frame (true), a string
-    flag ("false") or a numeric video id is a DomainError; ``type(v) is``
-    checks keep bools out of the integer and number fields.  Frames must lie
-    in [0, FRAME_LIMIT), class ids must fit int64 and scores must be finite.
-
-    Each rule holds for whole columns, and runs over the rows before the
-    first failure found so far, in rule order; only when it fails is it run
-    row by row.  The error is thus that of the first bad line, with the first
-    rule it breaks, and the value rules see only rows whose fields have their
-    JSON types.
+    A float frame (3.7), a bool frame (true), a string flag ("false") or a
+    numeric video id is a DomainError; frames must lie in [0, FRAME_LIMIT),
+    class ids must fit int64 and scores must be finite (_RULES).
     """
     first, problem = len(recs), None
     try:
@@ -140,38 +172,18 @@ def _check_records(path, recs, line_nos):
         required = list(map(_REQUIRED, recs[:first]))
     rows = recs[:first]
     video_ids, starts, ends = zip(*required) if required else ((), (), ())
-    class_ids = [r.get("class_id") for r in rows]
-    scores = [r.get("score") for r in rows]
-    truncated = [r.get("truncated", False) for r in rows]
-
-    def check(ok, message, *columns):
-        nonlocal first, problem
-        columns = [c[:first] for c in columns]
-        if not ok(*columns):
-            first = next(row for row, values in enumerate(zip(*columns))
-                         if not ok(*([v] for v in values)))
-            problem = message(recs[first])
-
-    def record(text):
-        return lambda rec: f"bad instance record {rec!r}: {text}"
-
-    check(_types(str), record("video_id must be a string"), video_ids)
-    check(_types(int), record("start and end must be integers"), starts, ends)
-    check(_types(NoneType, int), record("class_id must be an integer or null"), class_ids)
-    check(_types(NoneType, float, int), record("score must be a number or null"), scores)
-    check(_types(bool), record("truncated must be true or false"), truncated)
-    # ActionInterval's own rules, with its messages.
-    check(lambda s: min(s, default=0) >= 0,
-          lambda rec: f"negative start frame {rec['start']}", starts)
-    check(lambda s, e: not any(map(operator.gt, s, e)),
-          lambda rec: f"inverted interval [{rec['start']}, {rec['end']}]", starts, ends)
-    columns = {"end": ends, "class_id": class_ids, "score": scores}
-    for field, ok, text in _VALUE_RULES:
-        check(ok, record(text), columns[field])
+    columns = {
+        "video_id": video_ids, "start": starts, "end": ends,
+        "class_id": [r.get("class_id") for r in rows],
+        "score": [r.get("score") for r in rows],
+        "truncated": [r.get("truncated", False) for r in rows],
+    }
+    first, problem = _first_broken_rule(recs, columns, first, problem)
     if problem:
         raise DomainError(f"{path}:{line_nos[first]}: {problem}")
     spans = np.stack([np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)], axis=1)
-    return video_ids, IntervalColumns.from_fields(spans, class_ids, scores, truncated)
+    return video_ids, IntervalColumns.from_fields(
+        spans, columns["class_id"], columns["score"], columns["truncated"])
 
 
 def _split_videos(video_ids, columns: IntervalColumns) -> dict[str, IntervalColumns]:

@@ -1,21 +1,22 @@
-"""Evaluation suite: temporal IoU, optimal matching, F1, interval mAP, start mAP.
+"""Evaluation suite: temporal IoU, F1 by maximum matching, interval mAP, start mAP.
 
-Class-agnostic detection quality is scored with an F1 built on optimal
-bipartite matching: per video, predictions are matched to ground truth by
-temporal IoU via a minimum-cost assignment, matched pairs above the IoU
-threshold count as true positives, and counts are micro-aggregated across
-videos.  Ranked quality uses standard score-ranked average precision over
-intervals; start detection uses point-level AP within a frame offset.  Both
-are classwise when every interval has a class and pooled (class-agnostic)
-when either side has none.
+Class-agnostic detection quality is scored with an F1 over a one-to-one
+matching: per video, a prediction and a ground truth whose temporal IoU
+reaches the threshold may be matched, each interval at most once, and the
+true positives are the size of a maximum such matching, micro-aggregated
+across videos.  Ranked quality uses standard score-ranked average precision
+over intervals; start detection uses point-level AP within a frame offset.
+Both are classwise when every interval has a class and pooled
+(class-agnostic) when either side has none.
 
 Every metric takes per-video intervals as IntervalColumns, the instance
-reader's output, or as lists of ActionIntervals, which it converts once.
-Intervals that share no frame have IoU 0, so the optimal matching is solved
-separately on each group of intervals chained by shared frames, and its cost
-grows with the groups' sizes, not with predictions x ground truth.  The
-ranked metrics never build a predictions x ground truth matrix either: a
-sorted sweep over ground-truth starts finds each prediction's candidates.
+reader's output, or as lists of ActionIntervals, which it converts once.  No
+metric builds a predictions x ground truth matrix: a sorted sweep over
+ground-truth starts finds each prediction's candidates, the pairs that F1
+matches and that the ranked metrics match greedily.
+
+scipy.optimize is imported only inside hungarian_assign, which no metric
+calls: the import alone costs a process about 48 MB and half a second.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import DomainError
 from .switchboard import (
@@ -78,29 +78,6 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / ((a[..., 1] - a[..., 0] + 1) + (b[..., 1] - b[..., 0] + 1) - inter)
 
 
-def _overlap_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Temporal IoU of every (row, col) pair of two span arrays."""
-    return _iou(rows[:, None], cols[None, :])
-
-
-def _overlap_groups(rows: np.ndarray, cols: np.ndarray):
-    """Yield (row indices, col indices) of each group holding both kinds.
-
-    One sort-and-sweep over the starts of all spans: a group ends where the
-    next span starts after every span so far has ended, so spans of different
-    groups share no frame.
-    """
-    spans = np.concatenate([rows, cols])
-    order = np.argsort(spans[:, 0], kind="stable")
-    reach = np.maximum.accumulate(spans[order, 1])
-    cuts = np.flatnonzero(spans[order[1:], 0] > reach[:-1]) + 1
-    for members in np.split(order, cuts):
-        members.sort()
-        split = int(np.searchsorted(members, len(rows)))
-        if 0 < split < len(members):
-            yield members[:split], members[split:] - len(rows)
-
-
 def _check_shared_videos(preds: Mapping, gts: Mapping) -> None:
     """Predictions and ground truth that both name videos must share one."""
     if preds and gts and set(preds).isdisjoint(gts):
@@ -111,7 +88,14 @@ def _check_shared_videos(preds: Mapping, gts: Mapping) -> None:
 
 
 def hungarian_assign(cost) -> list[tuple[int, int]]:
-    """Minimum-total-cost injective assignment of min(m, n) (row, col) pairs."""
+    """Minimum-total-cost injective assignment of min(m, n) (row, col) pairs.
+
+    No metric calls it, since F1 needs only the size of a maximum matching.
+    scipy.optimize is imported on the first call, not with the module: that
+    import alone would cost every process about 48 MB and half a second.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     arr = np.asarray(cost, dtype=np.float64)
     if arr.size == 0:
         return []
@@ -138,19 +122,61 @@ class MatchReport:
         return asdict(self)
 
 
+def _matching_size(rows, cols) -> int:
+    """Size of a maximum matching of the bipartite graph of (row, col) edges.
+
+    ``rows`` is ascending.  A greedy pass gives each row its first free
+    column; then each row left unmatched looks for an augmenting path
+    (Kuhn's method), walked with an explicit stack so that no path length
+    can reach Python's recursion limit.
+    """
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    cols = cols.tolist()
+    adjacency = [cols[lo:hi] for lo, hi in zip(firsts, firsts[1:] + [len(cols)])]
+    owner: dict[int, int] = {}  # column -> the row matched to it
+    unmatched = []
+    for row, row_cols in enumerate(adjacency):
+        col = next((c for c in row_cols if c not in owner), None)
+        if col is None:
+            unmatched.append(row)
+        else:
+            owner[col] = row
+    size = len(adjacency) - len(unmatched)
+    for root in unmatched:
+        seen: set[int] = set()
+        path_rows, path_cols = [root], []
+        todo = [iter(adjacency[root])]
+        while todo:
+            col = next((c for c in todo[-1] if c not in seen), None)
+            if col is None:  # a dead end: back up one row
+                todo.pop()
+                path_rows.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen.add(col)
+            path_cols.append(col)
+            if col not in owner:
+                # Each row on the path takes the column after it.
+                owner.update(zip(path_cols, path_rows))
+                size += 1
+                break
+            path_rows.append(owner[col])
+            todo.append(iter(adjacency[owner[col]]))
+    return size
+
+
 def f1_at_tiou(
     preds: Mapping[str, Sequence[ActionInterval]],
     gts: Mapping[str, Sequence[ActionInterval]],
     threshold: float = 0.5,
 ) -> MatchReport:
-    """Optimal-matching F1 at one IoU threshold.
+    """One-to-one matching F1 at one IoU threshold.
 
-    Matched pairs with IoU >= threshold are true positives.  The assignment
-    cost rewards above-threshold pairs lexicographically before raw IoU, so
-    the matching maximizes the true-positive count first and total IoU
-    second.  Both terms add up over the overlap groups of a video, so each
-    group is matched on its own.  With no predictions and no ground truth at
-    all, precision and recall are 1 by convention.
+    The true positives of a video are the size of a maximum matching of its
+    predictions to its ground truth over the pairs with IoU >= threshold, so
+    no other one-to-one matching has more hits.  With no predictions and no
+    ground truth at all, precision and recall are 1 by convention.
     """
     if not (0.0 < threshold <= 1.0):
         raise DomainError(f"threshold must be in (0, 1], got {threshold}")
@@ -162,16 +188,9 @@ def f1_at_tiou(
         vg = gts[video_id].spans if video_id in gts else _NO_SPANS
         report.num_pred += len(vp)
         report.num_gt += len(vg)
-        if not len(vp) or not len(vg):
-            continue
-        for rows, cols in _overlap_groups(vp, vg):
-            overlaps = _overlap_matrix(vp[rows], vg[cols])
-            # A hit outweighs any achievable sum of IoUs in the group.
-            hit_bonus = float(min(len(rows), len(cols)) + 1)
-            cost = -(overlaps + hit_bonus * (overlaps >= threshold))
-            for i, j in hungarian_assign(cost):
-                if overlaps[i, j] >= threshold:
-                    report.tp += 1
+        if len(vp) and len(vg):
+            rows, cols, _ = _iou_candidates(vp, vg, threshold)
+            report.tp += _matching_size(rows, cols)
     if report.num_pred == 0 and report.num_gt == 0:
         report.precision = report.recall = report.f1 = 1.0
     else:

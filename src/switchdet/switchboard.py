@@ -162,11 +162,17 @@ class EncodeReport:
 
 
 def check_state(value: int, config: SwitchConfig) -> int:
-    """``value`` as an int, if it is a state of ``config``; a float is refused."""
+    """``value`` as an int, if it is a state of ``config``; a float is refused.
+
+    A bool, Python's or numpy's, is the state 0 or 1, as it is a label to
+    decode_sequence.
+    """
     try:
         value = operator.index(value)
     except TypeError:
-        raise DomainError(f"state {value!r} is not an integer") from None
+        if not isinstance(value, np.bool_):
+            raise DomainError(f"state {value!r} is not an integer") from None
+        value = int(value)
     if not (0 <= value < config.num_states):
         raise DomainError(
             f"state {value} out of range for {config.num_switches} switches"

@@ -427,6 +427,13 @@ def test_columns_index_as_their_list(tmp_path):
     (ActionInterval(0, 9, score=10**400), "score must be finite"),
     (ActionInterval(0, FRAME_LIMIT), "start and end must be below 2**62"),
     (ActionInterval(0, 9, class_id=2**63), "class_id must fit int64"),
+    # The reader's type rules: no bool, float or numpy frame, no bool class
+    # id, no string score.
+    (ActionInterval(True, True), "start and end must be integers"),
+    (ActionInterval(1.0, 3), "start and end must be integers"),
+    (ActionInterval(np.int64(1), np.int64(3)), "start and end must be integers"),
+    (ActionInterval(0, 9, class_id=True), "class_id must be an integer or null"),
+    (ActionInterval(0, 9, score="0.5"), "score must be a number or null"),
 ])
 def test_writer_refuses_what_the_reader_rejects(tmp_path, inst, problem):
     path = tmp_path / "inst.jsonl"

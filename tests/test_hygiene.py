@@ -1,6 +1,10 @@
-"""Source hygiene checks that need no linter: only the standard library's ast."""
+"""Source hygiene checks that need no linter: the standard library's ast, and
+one import check in a fresh interpreter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,3 +219,14 @@ def test_check_counts_per_step_calls():
         "        if split:\n            np.dot(x, a)\n        h(k(x))\n    return a\n"
     )
     assert per_step_calls(source, "f") == (3, 4)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone costs a process about 48 MB and half a second.
+    code = "import sys, switchdet.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(switchdet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

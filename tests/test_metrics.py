@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
 from switchdet.metrics import (
-    _overlap_groups,
-    _overlap_matrix,
+    _iou,
     _spans,
     average_precision,
     f1_at_tiou,
@@ -62,6 +61,11 @@ def brute_force_tp(preds, gts, threshold):
 
 def iv(start, end, **kw):
     return ActionInterval(start, end, **kw)
+
+
+def overlap_matrix(rows, cols):
+    """Temporal IoU of every (row, col) pair of two span arrays."""
+    return _iou(rows[:, None], cols[None, :])
 
 
 class TestTiou:
@@ -151,6 +155,9 @@ class TestF1:
             f1_at_tiou({}, {}, 0.0)
 
     def test_tp_matches_brute_force(self):
+        # p0 hits g0 and g1, p1 only g0: a greedy pass that gives p0 its
+        # earliest-starting hit, g0, must be undone to reach tp = 2.
+        cases = [([iv(1, 10), iv(0, 5)], [iv(0, 9), iv(2, 11)])]
         rng = np.random.default_rng(2)
         for _ in range(200):
             preds = [
@@ -167,8 +174,46 @@ class TestF1:
                     rng.integers(0, 15, 6),
                 )
             ]
+            cases.append((preds, gts))
+        assert brute_force_tp(*cases[0], 0.5) == 2
+        for preds, gts in cases:
             report = f1_at_tiou({"v": preds}, {"v": gts}, 0.5)
             assert report.tp == brute_force_tp(preds, gts, 0.5)
+
+    def test_augmenting_path_through_every_row(self):
+        # p_i hits g_i and g_i+1 (IoU 5/15 each), and the last prediction
+        # hits only g_0: every ground truth is matched only if one path
+        # moves each p_i from g_i to g_i+1, longer than the recursion limit.
+        n = 1500
+        gts = [iv(10 * i, 10 * i + 9) for i in range(n + 1)]
+        preds = [iv(10 * i + 5, 10 * i + 14) for i in range(n)] + [iv(0, 9)]
+        report = f1_at_tiou({"v": preds}, {"v": gts}, 0.3)
+        assert report.tp == n + 1
+
+
+@st.composite
+def few_intervals(draw):
+    """Up to 6 intervals on a short timeline: shared starts are common, and
+    some intervals repeat an earlier one exactly."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        if out and draw(st.booleans()):
+            base = draw(st.sampled_from(out))
+            end = base.end_frame if draw(st.booleans()) else base.start_frame + draw(
+                st.integers(0, 8))
+            out.append(iv(base.start_frame, end))
+        else:
+            start = draw(st.integers(0, 12))
+            out.append(iv(start, start + draw(st.integers(0, 8))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_intervals(), few_intervals())
+def test_tp_equals_brute_force_on_few_intervals(preds, gts):
+    for threshold in (0.1, 0.5, 1.0):
+        report = f1_at_tiou({"v": preds}, {"v": gts}, threshold)
+        assert report.tp == brute_force_tp(preds, gts, threshold)
 
 
 class TestIntervalMap:
@@ -485,26 +530,10 @@ class TestOverlapMatrix:
             cols = random_stream(rng, int(rng.integers(1, 20)), 100, 12)
             rows.append(iv(7, 7))  # single frame
             cols += [iv(7, 7), iv(500, 510)]  # single frame; disjoint from all
-            got = _overlap_matrix(_spans(rows), _spans(cols))
+            got = overlap_matrix(_spans(rows), _spans(cols))
             want = np.array([[tiou(a, b) for b in cols] for a in rows])
             assert got.shape == want.shape
             assert (got == want).all()
-
-    def test_groups_share_no_frame(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            rows = _spans(random_stream(rng, 30, 1000, 30))
-            cols = _spans(random_stream(rng, 30, 1000, 30))
-            groups = list(_overlap_groups(rows, cols))
-            group_of_row = np.full(len(rows), -1)
-            group_of_col = np.full(len(cols), -1)
-            for k, (r, c) in enumerate(groups):
-                group_of_row[r] = group_of_col[c] = k
-            overlaps = _overlap_matrix(rows, cols)
-            # Every overlapping pair lies inside one group.
-            i, j = np.nonzero(overlaps)
-            assert (group_of_row[i] >= 0).all()
-            assert (group_of_row[i] == group_of_col[j]).all()
 
 
 class TestF1Groups:
@@ -719,7 +748,7 @@ class TestIntervalMapThresholds:
 
 
 def dense_iou_gain(pred_spans, gt_spans):
-    return _overlap_matrix(pred_spans, gt_spans[::-1])
+    return overlap_matrix(pred_spans, gt_spans[::-1])
 
 
 def dense_start_gain(pred_spans, gt_spans):

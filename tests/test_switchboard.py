@@ -229,10 +229,12 @@ class TestStreamDecoder:
         assert dec.step(0, 1) == []
 
     def test_full_sequence_matches_batch(self):
-        states = [0, 1, 1, 3, 3, 2, 2, 2, 0]
-        assert decode_streaming(states, SwitchConfig(2)) == decode_sequence(
-            states, SwitchConfig(2)
-        )
+        for states, config in [
+            ([0, 1, 1, 3, 3, 2, 2, 2, 0], SwitchConfig(2)),
+            # numpy bools are the labels 0 and 1 to both decoders.
+            (np.array([False, True, True, False, True]), SwitchConfig(1)),
+        ]:
+            assert decode_streaming(states, config) == decode_sequence(states, config)
 
     def test_finalize_flags_truncated(self):
         dec = StreamDecoder(SwitchConfig(1))

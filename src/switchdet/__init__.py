@@ -40,7 +40,7 @@ from .switchboard import (
     decode_streaming,
     encode_instances,
 )
-from .synthgen import SynthConfig, concurrency_profile, generate_stream
+from .synthgen import SynthConfig, concurrency_profile, generate_stream, write_features
 from .trainer import (
     SweepRow,
     TrainConfig,
@@ -86,4 +86,5 @@ __all__ = [
     "sequence_loss_and_grad",
     "sweep_alpha",
     "train",
+    "write_features",
 ]

@@ -37,7 +37,7 @@ from .switchboard import (
     decode_streaming,
     encode_instances,
 )
-from .synthgen import SynthConfig, generate_stream, read_features, write_features
+from .synthgen import SynthConfig, generate_stream, read_features, write_stream
 from .trainer import (
     TrainConfig,
     check_sweep_grid,
@@ -123,8 +123,7 @@ def _config(cls, args):
 
 def cmd_gen(args) -> dict:
     cfg = _config(SynthConfig, args)
-    features, instances = generate_stream(cfg)
-    write_features(args.out_features, features)
+    instances = write_stream(cfg, args.out_features)
     write_instances(args.out_instances, {args.video_id: instances})
     log.info("generated %d frames, %d instances", cfg.length, len(instances))
     return vars(cfg) | {"video_id": args.video_id}

@@ -52,7 +52,11 @@ def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
     numpy frame, a bool class id, a string score, a NaN score, ...) is a
     DomainError raised before the file is opened.
     """
-    records = [instance_to_record(video_id, inst) for video_id in sorted(videos)
+    # Only string ids sort together.  The records of any other id break the
+    # first rule, so they go first, and the first of them is the one reported.
+    ids = [v for v in videos if type(v) is not str] + sorted(
+        v for v in videos if type(v) is str)
+    records = [instance_to_record(video_id, inst) for video_id in ids
                for inst in sorted(videos[video_id], key=lambda a: a.span)]
     columns = {field: [rec[field] for rec in records] for field in _FIELDS}
     _, problem = _first_broken_rule(records, columns, len(records))

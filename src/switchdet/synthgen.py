@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,27 +58,18 @@ class SynthConfig:
             )
 
 
-def generate_stream(
-    config: SynthConfig,
-) -> tuple[np.ndarray, list[ActionInterval]]:
-    """Sample one stream: (T x D features, class-labeled instances).
+# Features are made, and written, in blocks of whole rows of about this many
+# float64 values (4,096 rows at the default 16 columns), so that writing a
+# stream takes the memory of one block whatever its length.
+BLOCK_VALUES = 1 << 16
 
-    Instance starts follow a per-frame Poisson process; a start is rejected
-    when it would push concurrency past max_concurrent (unless
-    allow_overflow).  Durations are uniform integers, clipped at stream end.
-    Deterministic per seed.
-    """
-    rng = np.random.default_rng(config.seed)
-    sig_seed = (
-        config.seed if config.signature_seed is None else config.signature_seed
-    )
-    # One random unit vector per class.
-    sigs = np.random.default_rng(sig_seed).normal(
-        size=(config.num_classes, config.feature_dim)
-    )
-    sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
 
+def _sample_instances(config: SynthConfig, rng) -> list[ActionInterval]:
+    """Instance starts follow a per-frame Poisson process; a start is
+    rejected when it would push concurrency past max_concurrent (unless
+    allow_overflow).  Durations are uniform integers, clipped at stream end."""
     instances: list[ActionInterval] = []
+    ends: list[int] = []  # of the kept instances, pruned to the active ones at each start
     for t in range(config.length):
         for _ in range(int(rng.poisson(config.arrival_rate))):
             duration = int(
@@ -86,20 +78,77 @@ def generate_stream(
             cls = int(rng.integers(config.num_classes))
             # Concurrency peaks at some instance start, so checking at the
             # start frame is sufficient to bound it everywhere.
-            active = sum(1 for inst in instances if inst.end_frame >= t)
-            if active >= config.max_concurrent and not config.allow_overflow:
+            ends = [end for end in ends if end >= t]
+            if len(ends) >= config.max_concurrent and not config.allow_overflow:
                 continue
             end = min(t + duration - 1, config.length - 1)
+            ends.append(end)
             instances.append(ActionInterval(t, end, class_id=cls))
+    return instances
 
-    features = np.zeros((config.length, config.feature_dim))
-    for inst in instances:
-        features[inst.start_frame : inst.end_frame + 1] += sigs[inst.class_id]
-    if config.noise_sigma > 0:
-        features += rng.normal(
-            scale=config.noise_sigma, size=features.shape
-        )
+
+def _feature_blocks(config: SynthConfig, rng, instances) -> Iterator[np.ndarray]:
+    """The stream's features, one block of whole rows at a time.
+
+    Each block adds the signatures of the instances that overlap it, in
+    instance order, to zeros, then draws its own noise.  Generator.normal
+    fills element by element and keeps nothing between calls, so every value
+    has the bits it would have in one (T x D) sum and one draw.
+    """
+    # One random unit vector per class.
+    sig_seed = (
+        config.seed if config.signature_seed is None else config.signature_seed
+    )
+    sigs = np.random.default_rng(sig_seed).normal(
+        size=(config.num_classes, config.feature_dim)
+    )
+    sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
+    rows = max(1, BLOCK_VALUES // config.feature_dim)
+    active: list[ActionInterval] = []
+    started = 0  # instances[:started] start before this block ends
+    for lo in range(0, config.length, rows):
+        hi = min(lo + rows, config.length)
+        first = started
+        while started < len(instances) and instances[started].start_frame < hi:
+            started += 1
+        active = [inst for inst in active + instances[first:started]
+                  if inst.end_frame >= lo]
+        block = np.zeros((hi - lo, config.feature_dim))
+        for inst in active:
+            block[max(inst.start_frame - lo, 0) : inst.end_frame + 1 - lo] += sigs[inst.class_id]
+        if config.noise_sigma > 0:
+            block += rng.normal(scale=config.noise_sigma, size=block.shape)
+        yield block
+
+
+def _synthesize(config: SynthConfig) -> tuple[list[ActionInterval], Iterator[np.ndarray]]:
+    """(instances, feature blocks) of one stream."""
+    rng = np.random.default_rng(config.seed)
+    instances = _sample_instances(config, rng)
+    return instances, _feature_blocks(config, rng, instances)
+
+
+def generate_stream(
+    config: SynthConfig,
+) -> tuple[np.ndarray, list[ActionInterval]]:
+    """Sample one stream: (T x D features, class-labeled instances).
+    Deterministic per seed."""
+    instances, blocks = _synthesize(config)
+    features = np.empty((config.length, config.feature_dim))
+    lo = 0
+    for block in blocks:
+        features[lo : lo + len(block)] = block
+        lo += len(block)
     return features, instances
+
+
+def write_stream(config: SynthConfig, path) -> list[ActionInterval]:
+    """Sample one stream, write its features to ``path`` block by block as
+    they are made, and return its instances; the file equals
+    ``write_features(path, generate_stream(config)[0])`` byte for byte."""
+    instances, blocks = _synthesize(config)
+    _write_blocks(path, (config.length, config.feature_dim), blocks)
+    return instances
 
 
 def concurrency_profile(instances, length: int) -> np.ndarray:
@@ -112,13 +161,24 @@ def concurrency_profile(instances, length: int) -> np.ndarray:
 
 def write_features(path, features) -> None:
     """Binary features: magic, version u32, T u64, D u32, row-major f32 LE."""
-    arr = np.ascontiguousarray(features, dtype="<f4")
+    arr = np.asarray(features)
+    if arr.dtype.kind not in "biuf":
+        # Strings and objects convert, or fail, before the file is opened.
+        arr = arr.astype("<f4")
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise DomainError(f"features must be 2-d with >= 1 column, got shape {arr.shape}")
+    rows = max(1, BLOCK_VALUES // arr.shape[1])
+    _write_blocks(path, arr.shape, (arr[lo : lo + rows] for lo in range(0, len(arr), rows)))
+
+
+def _write_blocks(path, shape: tuple[int, int], blocks) -> None:
+    """A feature file of ``shape`` whose rows come in ``blocks``; each block is
+    converted to f32 and written before the next is asked for."""
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQI", FEATURE_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(struct.pack("<IQI", FEATURE_VERSION, *shape))
+        for block in blocks:
+            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B"))
 
 
 def read_features(path) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -323,6 +322,10 @@ def sweep_alpha(
     run = partial(_run_stack, train_set, eval_set, tiou_threshold=tiou_threshold)
     workers = min(jobs, len(stacks))
     if workers > 1:
+        # Imported here: multiprocessing costs a process that never sweeps
+        # about 2 MB.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for rows in pool.map(run, stacks) for r in rows]
     else:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
 from switchdet.formats import (
+    instance_to_record,
     read_instances,
     read_state_sequence,
     write_instances,
@@ -443,6 +444,24 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, inst, problem):
     assert str(info.value).endswith(f": {problem}")
     assert not path.exists()
 
+
+
+@pytest.mark.parametrize("videos", [
+    {5: [ActionInterval(0, 1)]},
+    {5: [ActionInterval(0, 1)], "v": [ActionInterval(0, 1)]},
+    {"v": [ActionInterval(0, 1)], None: [ActionInterval(2, 3)], 5: [ActionInterval(0, 1)]},
+], ids=["int", "int-and-str", "str-none-and-int"])
+def test_writer_refuses_non_string_video_ids(tmp_path, videos):
+    # Ids that do not sort together are refused as one non-string id is,
+    # naming the first non-string id's record.
+    path = tmp_path / "inst.jsonl"
+    bad = next(v for v in videos if type(v) is not str)
+    with pytest.raises(DomainError) as info:
+        write_instances(path, videos)
+    assert str(info.value) == (f"{path}: bad instance record "
+                               f"{instance_to_record(bad, videos[bad][0])!r}: "
+                               "video_id must be a string")
+    assert not path.exists()
 
 writable_intervals = st.builds(
     lambda start, length, class_id, score, truncated: ActionInterval(

@@ -230,3 +230,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # The sweep pool imports it when a sweep runs: about 2 MB for every other process.
+    code = "import sys, switchdet.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(switchdet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

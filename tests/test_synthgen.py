@@ -1,7 +1,16 @@
+import struct
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from switchdet import cli, synthgen
 from switchdet.exceptions import DomainError
+from switchdet.formats import read_instances
+from switchdet.switchboard import ActionInterval
 from switchdet.synthgen import (
     SynthConfig,
     concurrency_profile,
@@ -9,6 +18,60 @@ from switchdet.synthgen import (
     read_features,
     write_features,
 )
+
+
+def reference_generate_stream(config):
+    """The stream the blocked generator must reproduce bit for bit: each
+    start rescans every earlier instance, and the features are one (T x D)
+    sum of signatures plus one noise draw."""
+    rng = np.random.default_rng(config.seed)
+    sig_seed = (
+        config.seed if config.signature_seed is None else config.signature_seed
+    )
+    sigs = np.random.default_rng(sig_seed).normal(
+        size=(config.num_classes, config.feature_dim)
+    )
+    sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
+
+    instances = []
+    for t in range(config.length):
+        for _ in range(int(rng.poisson(config.arrival_rate))):
+            duration = int(
+                rng.integers(config.duration_min, config.duration_max + 1)
+            )
+            cls = int(rng.integers(config.num_classes))
+            active = sum(1 for inst in instances if inst.end_frame >= t)
+            if active >= config.max_concurrent and not config.allow_overflow:
+                continue
+            end = min(t + duration - 1, config.length - 1)
+            instances.append(ActionInterval(t, end, class_id=cls))
+
+    features = np.zeros((config.length, config.feature_dim))
+    for inst in instances:
+        features[inst.start_frame : inst.end_frame + 1] += sigs[inst.class_id]
+    if config.noise_sigma > 0:
+        features += rng.normal(
+            scale=config.noise_sigma, size=features.shape
+        )
+    return features, instances
+
+
+def feature_file_bytes(features):
+    """A feature file's bytes: the header, then the rows as f32 LE."""
+    return (b"ASWF" + struct.pack("<IQI", 1, *features.shape)
+            + features.astype("<f4").tobytes())
+
+
+def gen_argv(cfg, out):
+    argv = ["gen", "--out-features", str(out / "x.aswf"),
+            "--out-instances", str(out / "x.jsonl"), "--video-id", "v"]
+    for name, value in vars(cfg).items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, str(value)]
+    return argv
 
 
 class TestConfig:
@@ -174,6 +237,11 @@ class TestFeatureFile:
                 write_features(tmp_path / "x.aswf", features)
         assert not (tmp_path / "x.aswf").exists()
 
+    def test_write_fails_to_convert_before_opening(self, tmp_path):
+        with pytest.raises(ValueError, match="could not convert"):
+            write_features(tmp_path / "x.aswf", np.array([["0.5", "a"]]))
+        assert not (tmp_path / "x.aswf").exists()
+
     def test_rejects_non_finite_values(self, tmp_path):
         features = np.zeros((6, 4))
         features[3] = np.nan
@@ -181,3 +249,75 @@ class TestFeatureFile:
         write_features(path, features)
         with pytest.raises(DomainError, match="non-finite"):
             read_features(path)
+
+
+@st.composite
+def blocked_streams(draw):
+    """(block values, config) of a stream 1 to about 3 blocks long."""
+    feature_dim = draw(st.integers(1, 5))
+    block_values = draw(st.integers(1, 24))
+    rows = max(1, block_values // feature_dim)
+    duration_min = draw(st.integers(1, 6))
+    return block_values, SynthConfig(
+        length=draw(st.integers(1, 3 * rows + 1)),
+        arrival_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 1.5])),
+        duration_min=duration_min,
+        duration_max=draw(st.integers(duration_min, duration_min + 8)),
+        max_concurrent=draw(st.integers(1, 3)),
+        num_classes=draw(st.integers(1, 4)),
+        feature_dim=feature_dim,
+        noise_sigma=draw(st.sampled_from([0.0, 0.25, 1.7])),
+        seed=draw(st.integers(0, 2**16)),
+        allow_overflow=draw(st.booleans()),
+    )
+
+
+class TestBlocks:
+    """Features made block by block equal the reference's bytes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(stream=blocked_streams())
+    def test_blocked_stream_equals_reference(self, stream):
+        block_values, cfg = stream
+        with mock.patch.object(synthgen, "BLOCK_VALUES", block_values):
+            features, instances = generate_stream(cfg)
+        want_features, want_instances = reference_generate_stream(cfg)
+        assert features.dtype == want_features.dtype
+        assert features.tobytes() == want_features.tobytes()
+        assert instances == want_instances
+
+    @pytest.mark.parametrize("block_values, cfg", [
+        (16 * 7, SynthConfig(length=50, arrival_rate=0.1, seed=4)),
+        (5, SynthConfig(length=40, arrival_rate=0.3, feature_dim=3, max_concurrent=1,
+                        allow_overflow=True, signature_seed=2, seed=1)),
+        (synthgen.BLOCK_VALUES, SynthConfig(length=9000, arrival_rate=0.035, seed=3)),
+    ], ids=["16-dims", "overflow", "default-block"])
+    def test_gen_writes_reference_features(self, tmp_path, monkeypatch, block_values, cfg):
+        monkeypatch.setattr(synthgen, "BLOCK_VALUES", block_values)
+        assert cli.main(gen_argv(cfg, tmp_path)) == 0
+        features, instances = reference_generate_stream(cfg)
+        assert (tmp_path / "x.aswf").read_bytes() == feature_file_bytes(features)
+        assert list(read_instances(tmp_path / "x.jsonl")["v"]) == instances
+
+    def test_write_features_writes_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synthgen, "BLOCK_VALUES", 10)
+        features = np.random.default_rng(0).normal(size=(23, 4))
+        write_features(tmp_path / "x.aswf", features)
+        assert (tmp_path / "x.aswf").read_bytes() == feature_file_bytes(features)
+
+    def test_gen_memory_does_not_grow_with_length(self, tmp_path):
+        # Two blocks and sixteen: the features add one block of memory, not T rows.
+        rows = synthgen.BLOCK_VALUES // 16
+
+        def peak(length):
+            tracemalloc.reset_peak()
+            assert cli.main(gen_argv(SynthConfig(length=length), tmp_path)) == 0
+            return tracemalloc.get_traced_memory()[1]
+
+        cli.main(gen_argv(SynthConfig(length=10), tmp_path))
+        tracemalloc.start()
+        try:
+            short, long = peak(2 * rows), peak(16 * rows)
+        finally:
+            tracemalloc.stop()
+        assert long - short < 2**20

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -314,7 +315,7 @@ class TestSweep:
                 built.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(trainer, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         train_set, eval_set = tiny_split()
         rows = sweep_alpha(
             train_set, eval_set, alphas=alphas, switch_counts=switch_counts,
@@ -333,7 +334,7 @@ class TestSweep:
                 tasks.append([[(c.num_switches, c.alpha) for c in s] for s in stacks])
                 return super().map(fn, stacks)
 
-        monkeypatch.setattr(trainer, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         train_set, eval_set = tiny_split()
         kwargs = dict(alphas=[0.0, 0.05], switch_counts=[2, 1],
                       base=TrainConfig(epochs=1, hidden_dim=8), seeds=(0,))
@@ -405,7 +406,7 @@ class TestSweep:
             raise AssertionError("a cell trained")
 
         monkeypatch.setattr(trainer, "_run_stack", no_training)
-        monkeypatch.setattr(trainer, "ProcessPoolExecutor", no_training)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_training)
         train_set, eval_set = tiny_split()
         with pytest.raises(DomainError, match=match):
             sweep_alpha(train_set, eval_set, alphas, switch_counts, TrainConfig(),

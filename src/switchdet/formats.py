@@ -11,6 +11,7 @@ State sequences are a single JSON object:
 from __future__ import annotations
 
 import json
+import math
 import operator
 from itertools import compress, count
 from pathlib import Path
@@ -19,14 +20,7 @@ from types import NoneType
 import numpy as np
 
 from .exceptions import DomainError
-from .switchboard import (
-    FRAME_LIMIT,
-    ActionInterval,
-    IntervalColumns,
-    SwitchConfig,
-    all_finite,
-    fits_int64,
-)
+from .switchboard import FRAME_LIMIT, ActionInterval, IntervalColumns, SwitchConfig
 
 # The C scanner behind JSONDecoder.raw_decode: decodes one value and returns
 # where it ended.  json.loads would also skip whitespace around it with two
@@ -58,10 +52,7 @@ def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
         v for v in videos if type(v) is str)
     records = [instance_to_record(video_id, inst) for video_id in ids
                for inst in sorted(videos[video_id], key=lambda a: a.span)]
-    columns = {field: [rec[field] for rec in records] for field in _FIELDS}
-    _, problem = _first_broken_rule(records, columns, len(records))
-    if problem:
-        raise DomainError(f"{path}: {problem}")
+    _check_records(records, lambda row: path)
     lines = [json.dumps(rec) + "\n" for rec in records]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -75,6 +66,10 @@ def read_instances(path) -> dict[str, IntervalColumns]:
     checked one column at a time.
     """
     recs, line_nos = [], []
+
+    def where(row):
+        return f"{path}:{line_nos[row]}"
+
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -89,15 +84,27 @@ def read_instances(path) -> dict[str, IntervalColumns]:
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 # A bad record on an earlier line is reported first.
-                _check_records(path, recs, line_nos)
+                _check_records(recs, where)
                 raise DomainError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             recs.append(rec)
             line_nos.append(line_no)
-    return _split_videos(*_check_records(path, recs, line_nos))
+    video_ids, fields = _check_records(recs, where)
+    return _split_videos(video_ids, IntervalColumns.from_fields(**fields))
+
+
+def interval_columns(video_id, intervals) -> IntervalColumns:
+    """Columns of one video's ActionIntervals, under read_instances' rules.
+
+    An interval that an instance record could not hold (a float, bool or
+    numpy frame, a bool class id, a string or NaN score, ...) is a
+    DomainError that names the video.
+    """
+    records = [instance_to_record(video_id, inst) for inst in intervals]
+    _, fields = _check_records(records, lambda row: f"video {video_id}")
+    return IntervalColumns.from_fields(**fields)
 
 
 _REQUIRED = operator.itemgetter("video_id", "start", "end")
-_FIELDS = ("video_id", "start", "end", "class_id", "score", "truncated")
 
 
 def _lookup_error(rec) -> str | None:
@@ -116,6 +123,21 @@ def _types(*allowed):
 
 def _bad(text):
     return lambda rec: f"bad instance record {rec!r}: {text}"
+
+
+# filter(None, ...) skips null values, and zeros, which pass both rules.
+def fits_int64(values) -> bool:
+    """Whether every non-null integer fits int64, as class ids must."""
+    return (min(filter(None, values), default=0) >= -(2**63)
+            and max(filter(None, values), default=0) < 2**63)
+
+
+def all_finite(values) -> bool:
+    """Whether every non-null number is finite as a float, as scores must be."""
+    try:
+        return all(map(math.isfinite, filter(None, values)))
+    except OverflowError:  # an integer beyond float
+        return False
 
 
 # The rules on instance records, in the order they are checked: (fields, test
@@ -142,7 +164,7 @@ _RULES = (
 )
 
 
-def _first_broken_rule(recs, columns, first, problem=None):
+def _first_broken_rule(recs, columns, first, problem):
     """(row, message) of the first of ``recs[:first]`` that breaks a rule,
     else (first, problem).
 
@@ -160,12 +182,13 @@ def _first_broken_rule(recs, columns, first, problem=None):
     return first, problem
 
 
-def _check_records(path, recs, line_nos):
-    """Columns of decoded records; raises for the first invalid one by line.
+def _check_records(recs, where):
+    """Video ids and the other field columns of decoded records, in order.
 
     A float frame (3.7), a bool frame (true), a string flag ("false") or a
     numeric video id is a DomainError; frames must lie in [0, FRAME_LIMIT),
-    class ids must fit int64 and scores must be finite (_RULES).
+    class ids must fit int64 and scores must be finite (_RULES).  The error
+    of the first invalid record starts with ``where(its row)``.
     """
     first, problem = len(recs), None
     try:
@@ -184,10 +207,8 @@ def _check_records(path, recs, line_nos):
     }
     first, problem = _first_broken_rule(recs, columns, first, problem)
     if problem:
-        raise DomainError(f"{path}:{line_nos[first]}: {problem}")
-    spans = np.stack([np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)], axis=1)
-    return video_ids, IntervalColumns.from_fields(
-        spans, columns["class_id"], columns["score"], columns["truncated"])
+        raise DomainError(f"{where(first)}: {problem}")
+    return columns.pop("video_id"), columns
 
 
 def _split_videos(video_ids, columns: IntervalColumns) -> dict[str, IntervalColumns]:

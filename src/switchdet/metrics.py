@@ -10,10 +10,11 @@ Both are classwise when every interval has a class and pooled
 (class-agnostic) when either side has none.
 
 Every metric takes per-video intervals as IntervalColumns, the instance
-reader's output, or as lists of ActionIntervals, which it converts once.  No
-metric builds a predictions x ground truth matrix: a sorted sweep over
-ground-truth starts finds each prediction's candidates, the pairs that F1
-matches and that the ranked metrics match greedily.
+reader's output, or as lists of ActionIntervals, which it converts once
+under the reader's rules (formats.interval_columns).  No metric builds a
+predictions x ground truth matrix: a sorted sweep over ground-truth starts
+finds each prediction's candidates, the pairs that F1 matches and that the
+ranked metrics match greedily.
 
 scipy.optimize is imported only inside hungarian_assign, which no metric
 calls: the import alone costs a process about 48 MB and half a second.
@@ -29,44 +30,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError
-from .switchboard import (
-    FRAME_LIMIT,
-    ActionInterval,
-    IntervalColumns,
-    all_finite,
-    fits_int64,
-)
+from .formats import interval_columns
+from .switchboard import FRAME_LIMIT, ActionInterval, IntervalColumns
 
 _NO_SPANS = np.empty((0, 2), dtype=np.int64)
-
-
-def _spans(intervals) -> np.ndarray:
-    """(n, 2) int64 array of inclusive [start, end] frames."""
-    pairs = [(iv.start_frame, iv.end_frame) for iv in intervals]
-    last = max((end for _, end in pairs), default=0)
-    if last >= FRAME_LIMIT:
-        raise DomainError(f"frame index {last} is not below 2**62")
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def _to_columns(video_id, intervals) -> IntervalColumns:
-    """Columns of a list of ActionIntervals, under the instance reader's rules."""
-    intervals = list(intervals)
-    class_ids = [iv.class_id for iv in intervals]
-    scores = [iv.score for iv in intervals]
-    if not fits_int64(class_ids):
-        raise DomainError(f"class_id beyond int64 in video {video_id}")
-    if not all_finite(scores):
-        raise DomainError(f"non-finite score in video {video_id}")
-    return IntervalColumns.from_fields(
-        _spans(intervals), class_ids, scores, [iv.truncated for iv in intervals]
-    )
 
 
 def _columns(videos: Mapping) -> dict[str, IntervalColumns]:
     """Each video's intervals as columns, converting lists once at entry."""
     return {
-        video_id: v if isinstance(v, IntervalColumns) else _to_columns(video_id, v)
+        video_id: v if isinstance(v, IntervalColumns) else interval_columns(video_id, v)
         for video_id, v in videos.items()
     }
 

@@ -78,21 +78,6 @@ class ActionInterval:
 FRAME_LIMIT = 2**62
 
 
-# filter(None, ...) skips null values, and zeros, which pass both rules.
-def fits_int64(values) -> bool:
-    """Whether every non-null integer fits int64, as class ids must."""
-    return (min(filter(None, values), default=0) >= -(2**63)
-            and max(filter(None, values), default=0) < 2**63)
-
-
-def all_finite(values) -> bool:
-    """Whether every non-null number is finite as a float, as scores must be."""
-    try:
-        return all(map(math.isfinite, filter(None, values)))
-    except OverflowError:  # an integer beyond float
-        return False
-
-
 class IntervalColumns(Sequence):
     """Read-only columns of one video's intervals; items are ActionIntervals.
 
@@ -111,14 +96,15 @@ class IntervalColumns(Sequence):
             setattr(self, name, column)
 
     @classmethod
-    def from_fields(cls, spans, class_ids, scores, truncated) -> IntervalColumns:
-        """Columns of checked field values; None marks a missing class or score."""
+    def from_fields(cls, start, end, class_id, score, truncated) -> IntervalColumns:
+        """Columns of checked record fields, one sequence each; None marks a
+        missing class or score."""
         return cls(
-            spans,
-            np.array([0 if c is None else c for c in class_ids], dtype=np.int64),
-            np.array([c is None for c in class_ids], dtype=bool),
-            np.array([math.nan if s is None else s for s in scores], dtype=np.float64),
-            np.array([s is None for s in scores], dtype=bool),
+            np.stack([np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)], axis=1),
+            np.array([0 if c is None else c for c in class_id], dtype=np.int64),
+            np.array([c is None for c in class_id], dtype=bool),
+            np.array([math.nan if s is None else s for s in score], dtype=np.float64),
+            np.array([s is None for s in score], dtype=bool),
             np.array(truncated, dtype=bool),
         )
 
@@ -267,6 +253,16 @@ def decode_sequence(states, config: SwitchConfig) -> list[ActionInterval]:
     return out
 
 
+def _frame_index(frame) -> int:
+    """``frame`` as an int, if it is an integer other than a bool."""
+    if not isinstance(frame, bool):
+        try:
+            return operator.index(frame)
+        except TypeError:
+            pass
+    raise DomainError(f"frame {frame!r} is not an integer")
+
+
 class StreamDecoder:
     """Online per-frame decoder for a single stream.
 
@@ -283,8 +279,15 @@ class StreamDecoder:
         self._finalized = False
 
     def step(self, state: int, frame: int) -> list[ActionInterval]:
+        """The instances that closed before ``frame``, whose state is ``state``.
+
+        A frame that is not an integer (a float, a bool) is a DomainError,
+        as a float state is; a numpy integer frame is taken as an int.
+        """
         if self._finalized:
             raise ProtocolError("step() after finalize()")
+        if type(frame) is not int:
+            frame = _frame_index(frame)
         if frame != self._next_frame:
             raise ProtocolError(
                 f"expected frame {self._next_frame}, got {frame}"

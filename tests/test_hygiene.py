@@ -241,3 +241,32 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(max_examples=5, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_property_test_fails_as_a_test(tmp_path):
+    # A failing @given test makes hypothesis import libcst, whose warnings
+    # the session's filterwarnings must not turn into an INTERNALERROR.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
+from switchdet.formats import read_instances, write_instances
 from switchdet.metrics import (
     _iou,
-    _spans,
     average_precision,
     f1_at_tiou,
     hungarian_assign,
     interval_map,
     point_map,
 )
-from switchdet.switchboard import ActionInterval
+from switchdet.switchboard import FRAME_LIMIT, ActionInterval
 
 
 def tiou(a, b):
@@ -61,6 +64,10 @@ def brute_force_tp(preds, gts, threshold):
 
 def iv(start, end, **kw):
     return ActionInterval(start, end, **kw)
+
+
+def _spans(intervals):
+    return np.array([a.span for a in intervals], dtype=np.int64).reshape(-1, 2)
 
 
 def overlap_matrix(rows, cols):
@@ -877,17 +884,38 @@ class TestEntryConversion:
         lambda p, g: point_map(p, g, [3]),
     ], ids=["f1", "interval_map", "point_map"])
     @pytest.mark.parametrize("bad, match", [
-        (iv(0, 10**23, class_id=0, score=0.9), "not below 2\\*\\*62"),
-        (iv(2**62, 2**62, class_id=0, score=0.9), "not below 2\\*\\*62"),
-        (iv(0, 9, class_id=0, score=float("nan")), "non-finite score"),
-        (iv(0, 9, class_id=0, score=float("inf")), "non-finite score"),
-        (iv(0, 9, class_id=0, score=10**400), "non-finite score"),
-        (iv(0, 9, class_id=2**63, score=0.9), "class_id beyond int64"),
+        (iv(0, 10**23, class_id=0, score=0.9), "must be below 2\\*\\*62"),
+        (iv(2**62, 2**62, class_id=0, score=0.9), "must be below 2\\*\\*62"),
+        (iv(0, 9, class_id=0, score=float("nan")), "score must be finite"),
+        (iv(0, 9, class_id=0, score=float("inf")), "score must be finite"),
+        (iv(0, 9, class_id=0, score=10**400), "score must be finite"),
+        (iv(0, 9, class_id=2**63, score=0.9), "class_id must fit int64"),
     ], ids=["huge-end", "end-at-limit", "nan-score", "inf-score", "huge-int-score",
             "huge-class"])
     def test_rejects_values_beyond_the_columns(self, metric, bad, match):
         gts = {"v": [iv(0, 9, class_id=0)]}
         with pytest.raises(DomainError, match=match):
+            metric({"v": [iv(0, 9, class_id=0, score=0.5), bad]}, gts)
+        with pytest.raises(DomainError, match=match):
+            metric({"v": [iv(0, 9, class_id=0, score=0.5)]}, {"v": [bad]})
+
+    @pytest.mark.parametrize("metric", [
+        lambda p, g: f1_at_tiou(p, g, 0.5),
+        lambda p, g: interval_map(p, g, [0.5]),
+        lambda p, g: point_map(p, g, [3]),
+    ], ids=["f1", "interval_map", "point_map"])
+    @pytest.mark.parametrize("bad, match", [
+        (iv(0.5, 5.7, class_id=0, score=0.9), "start and end must be integers"),
+        (iv(False, True, class_id=0, score=0.9), "start and end must be integers"),
+        (iv(np.int64(0), np.int64(9), class_id=0, score=0.9), "start and end must be integers"),
+        (iv(0, 9, class_id=True, score=0.9), "class_id must be an integer"),
+        (iv(0, 9, class_id=0, score="0.9"), "score must be a number"),
+        (iv(0, 9, class_id=0, score=0.9, truncated="no"), "truncated must be true or false"),
+    ], ids=["float-frames", "bool-frames", "numpy-frames", "bool-class", "string-score",
+            "string-truncated"])
+    def test_rejects_what_a_record_cannot_hold(self, metric, bad, match):
+        gts = {"v": [iv(0, 9, class_id=0)]}
+        with pytest.raises(DomainError, match=f"^video v: bad instance record .*{match}"):
             metric({"v": [iv(0, 9, class_id=0, score=0.5), bad]}, gts)
         with pytest.raises(DomainError, match=match):
             metric({"v": [iv(0, 9, class_id=0, score=0.5)]}, {"v": [bad]})
@@ -904,3 +932,145 @@ class TestEntryConversion:
     def test_rejects_non_finite_offset(self, offset):
         with pytest.raises(DomainError, match="positive and finite"):
             point_map({}, {"v": [iv(0, 9)]}, [3, offset])
+
+
+# Values an ActionInterval holds but an instance record does not, as
+# (field, value); "frames" replaces both start and end.
+UNRECORDABLE = [
+    ("frames", (0.5, 5.7)), ("frames", (0.0, 5.0)), ("frames", (False, True)),
+    ("frames", (np.int64(2), np.int64(7))), ("frames", (3, FRAME_LIMIT)),
+    ("class_id", True), ("class_id", 2**63), ("class_id", -(2**63) - 1),
+    ("score", math.nan), ("score", math.inf), ("score", 10**400), ("score", "0.9"),
+    ("truncated", "no"), ("truncated", 1), ("truncated", None), ("truncated", np.True_),
+]
+
+
+@st.composite
+def recordable_or_not(draw):
+    """Predictions and ground truth of the same videos, every interval classed
+    and every prediction scored, where some intervals may hold a value from
+    UNRECORDABLE.  Valid values include the columns' extremes."""
+
+    def interval(scored):
+        start = draw(st.sampled_from([0, 2, 5, 9, FRAME_LIMIT - 12]))
+        fields = {
+            "frames": (start, start + draw(st.sampled_from([0, 3, 8, 11]))),
+            "class_id": draw(st.sampled_from([0, 1, -(2**63), 2**63 - 1])),
+            "score": draw(st.sampled_from([0.25, 0.5, 1, 10**300]
+                                          + ([] if scored else [None]))),
+            "truncated": draw(st.booleans()),
+        }
+        if draw(st.integers(0, 3)) == 0:
+            field, value = draw(st.sampled_from(UNRECORDABLE))
+            fields[field] = value
+        (start, end), kw = fields.pop("frames"), fields
+        return ActionInterval(start, end, **kw)
+
+    # Each video has an interval on both sides, since a file has no line for
+    # a video without one; and lists come in the order the writer sorts them
+    # to, since ranking ties keep each video's record order.
+    names = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    return tuple(
+        {v: sorted((interval(scored) for _ in range(draw(st.integers(1, 4)))),
+                   key=lambda a: a.span) for v in names}
+        for scored in (True, False))
+
+
+RULE_METRICS = [
+    lambda p, g: f1_at_tiou(p, g, 0.5),
+    lambda p, g: interval_map(p, g, [0.3, 0.7]),
+    lambda p, g: point_map(p, g, [1, 5]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(videos=recordable_or_not())
+def test_metrics_refuse_exactly_what_the_writer_refuses(videos):
+    preds, gts = videos
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "preds.jsonl"), Path(tmp, "gts.jsonl")]
+        try:
+            for path, side in zip(paths, videos):
+                write_instances(path, side)
+        except DomainError:
+            written = None
+        else:
+            written = [read_instances(path) for path in paths]
+    for metric in RULE_METRICS:
+        if written is None:
+            with pytest.raises(DomainError):
+                metric(preds, gts)
+        else:
+            assert metric(preds, gts).to_json() == metric(*written).to_json()
+
+
+F1_THRESHOLDS = [0.1, 0.5, 1.0]
+MAP_THRESHOLDS = [0.1, 0.3, 0.5, 0.7, 1.0]
+OFFSETS = [1, 4, 10]
+
+
+def f1_reports(preds, gts):
+    return [f1_at_tiou(preds, gts, t).to_json() for t in F1_THRESHOLDS]
+
+
+def ap_reports(preds, gts):
+    return (interval_map(preds, gts, MAP_THRESHOLDS).to_json(),
+            point_map(preds, gts, OFFSETS).to_json())
+
+
+def frames_of(*sides):
+    return [f for side in sides for vs in side.values() for a in vs for f in a.span]
+
+
+@settings(max_examples=100, deadline=None)
+@given(videos=scored_videos(), data=st.data())
+def test_shifting_every_interval_leaves_every_metric(videos, data):
+    frames = frames_of(*videos)
+    shift = data.draw(st.integers(-min(frames, default=0),
+                                  FRAME_LIMIT - 1 - max(frames, default=0)))
+    moved = tuple(
+        {v: [dataclasses.replace(a, start_frame=a.start_frame + shift,
+                                 end_frame=a.end_frame + shift) for a in vs]
+         for v, vs in side.items()}
+        for side in videos)
+    assert f1_reports(*moved) == f1_reports(*videos)
+    assert ap_reports(*moved) == ap_reports(*videos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(videos=scored_videos(), data=st.data())
+def test_permuting_records_and_renaming_videos(videos, data):
+    preds, gts = videos
+    ids = sorted(set(preds) | set(gts))
+    names = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=len(ids),
+                               max_size=len(ids), unique=True))
+    rename = dict(zip(ids, names))
+    moved_preds = {rename[v]: data.draw(st.permutations(vs)) for v, vs in preds.items()}
+    renamed_gts = {rename[v]: vs for v, vs in gts.items()}
+    moved_gts = {v: data.draw(st.permutations(vs)) for v, vs in renamed_gts.items()}
+    assert f1_reports(moved_preds, moved_gts) == f1_reports(preds, gts)
+    # Ranking ties on (score, start) break by (video, index) order.  Ground
+    # truth keeps its order for AP: of two ground truths equally near a
+    # prediction, the greedy match takes the one its index picks.
+    keys = [(a.score, a.start_frame) for vs in preds.values() for a in vs]
+    if len(set(keys)) == len(keys):
+        assert ap_reports(moved_preds, renamed_gts) == ap_reports(preds, gts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(videos=scored_videos(), data=st.data())
+def test_an_unmatched_last_prediction_leaves_ap(videos, data):
+    preds, gts = videos
+    pred_classes = {a.class_id is None for vs in preds.values() for a in vs}
+    gt_classes = {a.class_id is None for vs in gts.values() for a in vs}
+    classless = pred_classes == {True} or (not pred_classes and gt_classes == {True})
+    # Past every interval by more than the largest offset, and below every score.
+    start = max(frames_of(*videos), default=0) + max(OFFSETS) + 1 + data.draw(st.integers(0, 5))
+    score = min((a.score for vs in preds.values() for a in vs), default=1.0) - data.draw(
+        st.sampled_from([1e-9, 0.1, 5.0]))
+    extra = ActionInterval(start, start + data.draw(st.integers(0, 9)), score=score,
+                           class_id=None if classless else data.draw(st.integers(0, 3)))
+    video = data.draw(st.sampled_from(sorted(set(preds) | set(gts))))
+    rows = list(preds.get(video, []))
+    rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    assert ap_reports({**preds, video: rows}, gts) == ap_reports(preds, gts)

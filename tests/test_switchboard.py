@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from switchdet.exceptions import CapacityError, DomainError, ProtocolError
 from switchdet.switchboard import (
@@ -268,6 +271,19 @@ class TestStreamDecoder:
         with pytest.raises(DomainError, match=match):
             decode_streaming([0, state], SwitchConfig(1))
 
+    @pytest.mark.parametrize("frame", [0.0, 0.5, False, np.False_, np.float64(0), "0", None],
+                             ids=repr)
+    def test_rejects_non_integer_frame(self, frame):
+        with pytest.raises(DomainError, match="not an integer"):
+            StreamDecoder(SwitchConfig(1)).step(1, frame)
+
+    def test_numpy_frames_give_int_frames(self):
+        dec = StreamDecoder(SwitchConfig(1))
+        out = [a for frame, state in enumerate([1, 1, 0, 1, 1])
+               for a in dec.step(state, np.int64(frame))] + dec.finalize()
+        assert [(a.span, a.truncated) for a in out] == [((0, 1), False), ((3, 4), True)]
+        assert {type(f) for a in out for f in a.span} == {int}
+
     @settings(max_examples=200, deadline=None)
     @given(
         num_switches=st.integers(1, 4),
@@ -282,3 +298,74 @@ class TestStreamDecoder:
         batch = decode_sequence(states, config)
         assert spans(streamed) == spans(batch)
         assert [i.truncated for i in streamed] == [i.truncated for i in batch]
+
+
+# (value, the label it is, or None when step must refuse it) for two switches.
+DECODER_STATES = [(0, 0), (1, 1), (2, 2), (3, 3), (np.int64(3), 3), (True, 1), (np.True_, 1),
+                  (4, None), (-1, None), (1.0, None), (0.5, None)]
+# Frame kinds: (value for the next frame n, whether it is an integer).
+DECODER_FRAMES = {
+    "int": (lambda n: n, True), "numpy": (lambda n: np.int64(n), True),
+    "skip": (lambda n: n + 1, True), "repeat": (lambda n: n - 1, True),
+    "float": (float, False), "bool": (lambda n: n == 1, False),
+}
+
+
+class DecoderProtocol(RuleBasedStateMachine):
+    """StreamDecoder driven in any order: every protocol error is raised, a
+    refused call changes nothing, and the emitted intervals are those of
+    decode_sequence over the accepted states."""
+
+    def __init__(self):
+        super().__init__()
+        self.config = SwitchConfig(2)
+        self.dec = StreamDecoder(self.config)
+        self.accepted: list[int] = []
+        self.emitted: list[ActionInterval] = []
+        self.finalized = False
+
+    def refused(self, error, call):
+        before = copy.deepcopy(vars(self.dec))
+        with pytest.raises(error):
+            call()
+        assert vars(self.dec) == before
+
+    @rule(state=st.sampled_from(DECODER_STATES), kind=st.sampled_from(sorted(DECODER_FRAMES)))
+    def step(self, state, kind):
+        (value, label), (make_frame, integer) = state, DECODER_FRAMES[kind]
+        n = len(self.accepted)
+        frame = make_frame(n)
+        if self.finalized:
+            self.refused(ProtocolError, lambda: self.dec.step(value, frame))
+        elif not integer:
+            self.refused(DomainError, lambda: self.dec.step(value, frame))
+        elif frame != n:
+            self.refused(ProtocolError, lambda: self.dec.step(value, frame))
+        elif label is None:
+            self.refused(DomainError, lambda: self.dec.step(value, frame))
+        else:
+            self.emitted += self.dec.step(value, frame)
+            self.accepted.append(label)
+
+    @precondition(lambda self: self.finalized)
+    @rule()
+    def finalize_again(self):
+        self.refused(ProtocolError, self.dec.finalize)
+
+    @precondition(lambda self: not self.finalized)
+    @rule()
+    def finalize(self):
+        self.emitted += self.dec.finalize()
+        self.finalized = True
+        expected = decode_sequence(np.array(self.accepted, dtype=np.int64), self.config)
+        got = sorted(self.emitted)
+        assert [(a.span, a.truncated) for a in got] == [(a.span, a.truncated) for a in expected]
+        assert {type(f) for a in got for f in a.span} <= {int}
+
+    def teardown(self):
+        if not self.finalized:
+            self.finalize()
+
+
+TestDecoderProtocol = DecoderProtocol.TestCase
+TestDecoderProtocol.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)

@@ -10,7 +10,6 @@ from .exceptions import (
 )
 from .losses import (
     LossResult,
-    batched_cc_loss,
     sequence_loss_and_grad,
 )
 from .metrics import (
@@ -40,7 +39,7 @@ from .switchboard import (
     decode_streaming,
     encode_instances,
 )
-from .synthgen import SynthConfig, concurrency_profile, generate_stream, write_features
+from .synthgen import SynthConfig, generate_stream, write_features
 from .trainer import (
     SweepRow,
     TrainConfig,
@@ -67,8 +66,6 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "backward_sequence",
-    "batched_cc_loss",
-    "concurrency_profile",
     "decode_sequence",
     "decode_streaming",
     "encode_instances",

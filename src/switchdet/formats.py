@@ -10,6 +10,7 @@ State sequences are a single JSON object:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import operator
@@ -65,15 +66,18 @@ def read_instances(path) -> dict[str, IntervalColumns]:
     names the file and line.  Records are decoded one line at a time and then
     checked one column at a time.
     """
-    recs, line_nos = [], []
+    # Line numbers are needed only for an error message: a blank line
+    # records the row that follows it, so a row's line is found by bisection.
+    recs, blank_before = [], []
 
     def where(row):
-        return f"{path}:{line_nos[row]}"
+        return f"{path}:{row + 1 + bisect.bisect_right(blank_before, row)}"
 
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                blank_before.append(len(recs))
                 continue
             try:
                 try:
@@ -87,7 +91,6 @@ def read_instances(path) -> dict[str, IntervalColumns]:
                 _check_records(recs, where)
                 raise DomainError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             recs.append(rec)
-            line_nos.append(line_no)
     video_ids, fields = _check_records(recs, where)
     return _split_videos(video_ids, IntervalColumns.from_fields(**fields))
 
@@ -168,18 +171,45 @@ def _first_broken_rule(recs, columns, first, problem):
     """(row, message) of the first of ``recs[:first]`` that breaks a rule,
     else (first, problem).
 
-    ``columns`` maps each field to its values in record order.  Each rule
+    ``columns`` maps each field to its values of ``recs[:first]``.  Each rule
     holds for whole columns, and runs over the rows before the first failure
     found so far; only when it fails is it run row by row.  The message is
     thus that of the first bad record, with the first rule it breaks.
     """
     for fields, ok, message in _RULES:
-        values = [columns[field][:first] for field in fields]
+        values = [columns[field] for field in fields]
+        if first < len(values[0]):
+            values = [column[:first] for column in values]
         if not ok(*values):
             first = next(row for row, row_values in enumerate(zip(*values))
                          if not ok(*([v] for v in row_values)))
             problem = message(recs[first])
     return first, problem
+
+
+_FIELDS = ("video_id", "start", "end", "class_id", "score", "truncated")
+
+
+def _columns_by_record(recs):
+    """(first, problem, columns) of records one or more of which lacks a
+    field or is no object: the columns of the records before the first whose
+    required fields cannot be looked up, with the defaults of absent
+    optional fields."""
+    first, problem = len(recs), None
+    try:
+        required = list(map(_REQUIRED, recs))
+    except (KeyError, TypeError):
+        first = next(compress(count(), map(_lookup_error, recs)))
+        problem = f"bad instance record {recs[first]!r}: {_lookup_error(recs[first])}"
+        required = list(map(_REQUIRED, recs[:first]))
+    rows = recs[:first]
+    video_ids, starts, ends = zip(*required) if required else ((), (), ())
+    return first, problem, {
+        "video_id": video_ids, "start": starts, "end": ends,
+        "class_id": [r.get("class_id") for r in rows],
+        "score": [r.get("score") for r in rows],
+        "truncated": [r.get("truncated", False) for r in rows],
+    }
 
 
 def _check_records(recs, where):
@@ -190,21 +220,13 @@ def _check_records(recs, where):
     class ids must fit int64 and scores must be finite (_RULES).  The error
     of the first invalid record starts with ``where(its row)``.
     """
-    first, problem = len(recs), None
+    # One C-level pass per field while every record is an object with every
+    # field, as written records are; otherwise record by record.
     try:
-        required = list(map(_REQUIRED, recs))
+        columns = {field: list(map(operator.itemgetter(field), recs)) for field in _FIELDS}
+        first, problem = len(recs), None
     except (KeyError, TypeError):
-        first = next(compress(count(), map(_lookup_error, recs)))
-        problem = f"bad instance record {recs[first]!r}: {_lookup_error(recs[first])}"
-        required = list(map(_REQUIRED, recs[:first]))
-    rows = recs[:first]
-    video_ids, starts, ends = zip(*required) if required else ((), (), ())
-    columns = {
-        "video_id": video_ids, "start": starts, "end": ends,
-        "class_id": [r.get("class_id") for r in rows],
-        "score": [r.get("score") for r in rows],
-        "truncated": [r.get("truncated", False) for r in rows],
-    }
+        first, problem, columns = _columns_by_record(recs)
     first, problem = _first_broken_rule(recs, columns, first, problem)
     if problem:
         raise DomainError(f"{where(first)}: {problem}")
@@ -212,9 +234,12 @@ def _check_records(recs, where):
 
 
 def _split_videos(video_ids, columns: IntervalColumns) -> dict[str, IntervalColumns]:
-    """The rows of each video, in order of first appearance."""
-    codes: dict[str, int] = {}
-    video = np.array([codes.setdefault(v, len(codes)) for v in video_ids], dtype=np.intp)
+    """The rows of each video, in order of first appearance; the columns of
+    a file with one video are returned as they are."""
+    codes = dict(zip(dict.fromkeys(video_ids), count()))
+    if len(codes) <= 1:
+        return dict.fromkeys(codes, columns)
+    video = np.fromiter(map(codes.__getitem__, video_ids), dtype=np.intp, count=len(video_ids))
     order = np.argsort(video, kind="stable")
     cuts = np.cumsum(np.bincount(video))[:-1]
     return {
@@ -224,11 +249,15 @@ def _split_videos(video_ids, columns: IntervalColumns) -> dict[str, IntervalColu
 
 
 def write_state_sequence(path, video_id: str, config: SwitchConfig, labels) -> None:
-    obj = {
-        "video_id": video_id,
-        "num_switches": config.num_switches,
-        "labels": [int(v) for v in np.asarray(labels)],
-    }
+    """Write a state sequence; ``labels`` is a flat sequence or array of ints.
+
+    What read_state_sequence would reject (a numeric video id, a float or bool
+    label, a label out of range for ``config``) is a DomainError raised before
+    the file is opened.  Nothing is coerced.
+    """
+    labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    _check_state_fields(path, video_id, config.num_switches, labels)
+    obj = {"video_id": video_id, "num_switches": config.num_switches, "labels": labels}
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
@@ -244,6 +273,13 @@ def read_state_sequence(path) -> tuple[str, SwitchConfig, np.ndarray]:
         video_id, num_switches, labels = obj["video_id"], obj["num_switches"], obj["labels"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad state-sequence file {path}: {exc}") from exc
+    config = _check_state_fields(path, video_id, num_switches, labels)
+    return video_id, config, np.asarray(labels, dtype=np.int64)
+
+
+def _check_state_fields(path, video_id, num_switches, labels) -> SwitchConfig:
+    """The config of a state sequence's fields, if read_state_sequence
+    accepts them; else a DomainError that names ``path``."""
     if type(video_id) is not str:
         problem = "video_id must be a string"
     elif type(num_switches) is not int:
@@ -258,4 +294,4 @@ def read_state_sequence(path) -> tuple[str, SwitchConfig, np.ndarray]:
     # Checked before the int64 conversion, which a huge label would overflow.
     if labels and (min(labels) < 0 or max(labels) >= config.num_states):
         raise DomainError(f"{path}: label out of range for config")
-    return video_id, config, np.asarray(labels, dtype=np.int64)
+    return config

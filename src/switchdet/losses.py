@@ -110,22 +110,3 @@ def sequence_loss_and_grad(logits, gt_states, alpha) -> LossResult:
                           num_cc_positions=int(num_cc[0]))
     return LossResult(total=total, ce_part=ce_part, cons_part=cons_part,
                       grad=grad, num_cc_positions=num_cc)
-
-
-def batched_cc_loss(logits) -> float:
-    """Batched conservativeness penalty over a (B, L, S) logit tensor.
-
-    Mean over all (batch, frame) positions with t >= 1 whose argmax differs
-    from the previous frame's, of -log softmax at the previous argmax;
-    0 when no position changes.
-    """
-    arr = _as_finite(logits, "logits", ndim=3)
-    if arr.shape[1] < 2:
-        raise DomainError(f"need sequence length >= 2, got {arr.shape[1]}")
-    pred = arr.argmax(axis=2)
-    mask = pred[:, 1:] != pred[:, :-1]
-    if not mask.any():
-        return 0.0
-    targets = pred[:, :-1][mask]
-    logp = log_softmax(arr[:, 1:][mask])
-    return float(-logp[np.arange(targets.size), targets].mean())

@@ -78,6 +78,15 @@ class ActionInterval:
 FRAME_LIMIT = 2**62
 
 
+def _nullable(values, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """A column of ints or floats that may hold None, and its null mask; a
+    null's place holds ``fill``."""
+    if None not in values:
+        return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
+    return (np.array([fill if v is None else v for v in values], dtype=dtype),
+            np.array([v is None for v in values], dtype=bool))
+
+
 class IntervalColumns(Sequence):
     """Read-only columns of one video's intervals; items are ActionIntervals.
 
@@ -101,10 +110,8 @@ class IntervalColumns(Sequence):
         missing class or score."""
         return cls(
             np.stack([np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)], axis=1),
-            np.array([0 if c is None else c for c in class_id], dtype=np.int64),
-            np.array([c is None for c in class_id], dtype=bool),
-            np.array([math.nan if s is None else s for s in score], dtype=np.float64),
-            np.array([s is None for s in score], dtype=bool),
+            *_nullable(class_id, np.int64, 0),
+            *_nullable(score, np.float64, math.nan),
             np.array(truncated, dtype=bool),
         )
 

@@ -151,14 +151,6 @@ def write_stream(config: SynthConfig, path) -> list[ActionInterval]:
     return instances
 
 
-def concurrency_profile(instances, length: int) -> np.ndarray:
-    """Number of active instances at each frame."""
-    conc = np.zeros(length, dtype=np.int64)
-    for inst in instances:
-        conc[inst.start_frame : inst.end_frame + 1] += 1
-    return conc
-
-
 def write_features(path, features) -> None:
     """Binary features: magic, version u32, T u64, D u32, row-major f32 LE."""
     arr = np.asarray(features)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from switchdet.losses import batched_cc_loss, sequence_loss_and_grad
+from switchdet.losses import sequence_loss_and_grad
 from switchdet.metrics import (
     f1_at_tiou,
     hungarian_assign,
@@ -26,10 +26,11 @@ from switchdet.switchboard import (
     decode_streaming,
     encode_instances,
 )
-from switchdet.synthgen import SynthConfig, concurrency_profile, generate_stream
+from switchdet.synthgen import SynthConfig, generate_stream
 from switchdet.trainer import TrainConfig, sweep_alpha
 
 from conftest import random_clean_instances, spans
+from oracles import batched_cc_loss, concurrency_profile
 from test_metrics import brute_force_assignment_cost, brute_force_tp
 
 

@@ -110,6 +110,80 @@ def test_state_sequence_rejects_wrong_json_types(tmp_path, fields):
         read_state_sequence(path)
 
 
+@pytest.mark.parametrize("video_id, num_switches, labels, problem", [
+    ("v", 2, [0.0, 1.9, 3.2], "labels must be a flat list of integers"),
+    ("v", 2, np.array([0.0, 1.0]), "labels must be a flat list of integers"),
+    ("v", 2, [0, True, 3], "labels must be a flat list of integers"),
+    ("v", 2, np.array([True, False]), "labels must be a flat list of integers"),
+    ("v", 2, [np.int64(1)], "labels must be a flat list of integers"),
+    ("v", 2, np.zeros((2, 2), dtype=np.int64), "labels must be a flat list of integers"),
+    ("v", 2, [0, 7, 9], "label out of range for config"),
+    ("v", 2, np.array([0, -1]), "label out of range for config"),
+    (5, 2, [0, 1], "video_id must be a string"),
+    ("v", True, [0, 1], "num_switches must be an integer"),
+    ("v", 2.0, [0, 1], "num_switches must be an integer"),
+])
+def test_state_writer_refuses_what_the_reader_rejects(tmp_path, video_id, num_switches,
+                                                      labels, problem):
+    path = tmp_path / "states.json"
+    with pytest.raises(DomainError, match=problem):
+        write_state_sequence(path, video_id, SwitchConfig(num_switches), labels)
+    assert not path.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(video_id=st.text() | st.sampled_from(['"', "\\", "\n", "é ", "\x00"]),
+       num_switches=st.integers(1, 16), data=st.data())
+def test_state_sequence_round_trips_any_valid_content(tmp_path_factory, video_id,
+                                                      num_switches, data):
+    config = SwitchConfig(num_switches)
+    labels = data.draw(st.lists(st.integers(0, config.num_states - 1), max_size=40))
+    path = tmp_path_factory.mktemp("states") / "states.json"
+    write_state_sequence(path, video_id, config, labels)
+    back_id, back_config, back_labels = read_state_sequence(path)
+    assert (back_id, back_config) == (video_id, config)
+    assert back_labels.dtype == np.int64 and back_labels.tolist() == labels
+
+
+_label_values = st.one_of(
+    st.integers(-2, 2**16 + 1), st.integers(), st.booleans(), st.floats(),
+    st.none(), st.text(max_size=2), st.lists(st.integers(0, 3), max_size=2),
+)
+_label_arrays = st.builds(
+    lambda values, dtype: np.array(values).astype(dtype),
+    st.lists(st.integers(0, 2**16 + 1), max_size=20),
+    st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, bool, np.float64]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(video_id=st.text(max_size=4) | st.integers() | st.floats() | st.none() | st.booleans(),
+       num_switches=st.integers(-1, 17) | st.booleans() | st.floats(0, 17),
+       labels=st.lists(_label_values, max_size=12) | _label_arrays)
+def test_state_writer_raises_exactly_when_the_reader_rejects(tmp_path_factory, video_id,
+                                                             num_switches, labels):
+    # The reader's verdict on a file that holds the values as they are.
+    values = labels.tolist() if isinstance(labels, np.ndarray) else labels
+    d = tmp_path_factory.mktemp("verdict")
+    direct, written = d / "direct.json", d / "written.json"
+    obj = {"video_id": video_id, "num_switches": num_switches, "labels": values}
+    direct.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    try:
+        read_state_sequence(direct)
+    except DomainError:
+        readable = False
+    else:
+        readable = True
+    try:
+        write_state_sequence(written, video_id, SwitchConfig(num_switches), labels)
+    except DomainError:
+        assert not readable
+        assert not written.exists()
+    else:
+        assert readable
+        assert written.read_bytes() == direct.read_bytes()
+
+
 def _read_one(tmp_path, **fields):
     rec = {"video_id": "v", "start": 3, "end": 9, "class_id": 1,
            "score": 0.5, "truncated": False}

@@ -1,15 +1,19 @@
-"""Source hygiene checks that need no linter: the standard library's ast, and
-one import check in a fresh interpreter."""
+"""Source hygiene checks that need no linter: the standard library's ast,
+import checks in a fresh interpreter, and the instance reader's call and
+memory budgets per record."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import switchdet
+from switchdet.formats import read_instances
 
 MODULES = sorted(Path(switchdet.__file__).parent.glob("*.py"))
 
@@ -219,6 +223,67 @@ def test_check_counts_per_step_calls():
         "        if split:\n            np.dot(x, a)\n        h(k(x))\n    return a\n"
     )
     assert per_step_calls(source, "f") == (3, 4)
+
+
+def instance_lines(n: int) -> str:
+    """``n`` instance records as the writer writes them, with distinct
+    frames and scores, one video."""
+    return "".join(
+        json.dumps({"video_id": "v", "start": 16 * i, "end": 16 * i + i % 50,
+                    "class_id": i % 4, "score": (i % 997) / 997, "truncated": False}) + "\n"
+        for i in range(n))
+
+
+def cost_per_record(tmp_path, cost) -> float:
+    """Growth of ``cost(path)`` per record between files of 1,000 and 2,000
+    records; a read of a small file first leaves one-time costs out."""
+    sizes, costs = (1000, 2000), []
+    for n in (10, *sizes):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text(instance_lines(n), encoding="utf-8")
+        costs.append(cost(path))
+    return (costs[2] - costs[1]) / (sizes[1] - sizes[0])
+
+
+def profiled_calls(path) -> int:
+    """Python and C function calls that read_instances(path) makes."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        read_instances(path)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def traced_peak(path) -> int:
+    """Peak bytes that tracemalloc sees during read_instances(path)."""
+    tracemalloc.start()
+    try:
+        read_instances(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The reader decodes each line with one C call and builds each field's column
+# with one C-level pass, so a record costs a few calls in the line loop (3).
+# A per-record call in the column building, such as a .get per field, breaks
+# this bound.
+def test_reader_calls_per_record(tmp_path):
+    assert cost_per_record(tmp_path, profiled_calls) <= 5
+
+
+# The reader keeps each decoded record and its columns, neither the file's
+# text nor a line number per record: about 770 B a record.  Keeping either of
+# those costs more than this bound.
+def test_reader_memory_per_record(tmp_path):
+    assert cost_per_record(tmp_path, traced_peak) <= 830
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

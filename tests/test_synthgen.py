@@ -13,11 +13,12 @@ from switchdet.formats import read_instances
 from switchdet.switchboard import ActionInterval
 from switchdet.synthgen import (
     SynthConfig,
-    concurrency_profile,
     generate_stream,
     read_features,
     write_features,
 )
+
+from oracles import concurrency_profile
 
 
 def reference_generate_stream(config):

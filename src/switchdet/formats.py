@@ -14,7 +14,7 @@ import bisect
 import json
 import math
 import operator
-from itertools import compress, count
+from itertools import compress, count, repeat
 from pathlib import Path
 from types import NoneType
 
@@ -107,7 +107,9 @@ def interval_columns(video_id, intervals) -> IntervalColumns:
     return IntervalColumns.from_fields(**fields)
 
 
-_REQUIRED = operator.itemgetter("video_id", "start", "end")
+_REQUIRED_FIELDS = ("video_id", "start", "end")
+_OPTIONAL_FIELDS = (("class_id", None), ("score", None), ("truncated", False))
+_REQUIRED = operator.itemgetter(*_REQUIRED_FIELDS)
 
 
 def _lookup_error(rec) -> str | None:
@@ -187,29 +189,13 @@ def _first_broken_rule(recs, columns, first, problem):
     return first, problem
 
 
-_FIELDS = ("video_id", "start", "end", "class_id", "score", "truncated")
-
-
-def _columns_by_record(recs):
-    """(first, problem, columns) of records one or more of which lacks a
-    field or is no object: the columns of the records before the first whose
-    required fields cannot be looked up, with the defaults of absent
-    optional fields."""
-    first, problem = len(recs), None
-    try:
-        required = list(map(_REQUIRED, recs))
-    except (KeyError, TypeError):
-        first = next(compress(count(), map(_lookup_error, recs)))
-        problem = f"bad instance record {recs[first]!r}: {_lookup_error(recs[first])}"
-        required = list(map(_REQUIRED, recs[:first]))
-    rows = recs[:first]
-    video_ids, starts, ends = zip(*required) if required else ((), (), ())
-    return first, problem, {
-        "video_id": video_ids, "start": starts, "end": ends,
-        "class_id": [r.get("class_id") for r in rows],
-        "score": [r.get("score") for r in rows],
-        "truncated": [r.get("truncated", False) for r in rows],
-    }
+def _columns(recs):
+    """Each field's column of records that hold every required field, in one
+    C-level pass per field; an absent optional field takes its default."""
+    columns = {field: list(map(operator.itemgetter(field), recs)) for field in _REQUIRED_FIELDS}
+    for field, default in _OPTIONAL_FIELDS:
+        columns[field] = list(map(dict.get, recs, repeat(field), repeat(default)))
+    return columns
 
 
 def _check_records(recs, where):
@@ -220,13 +206,13 @@ def _check_records(recs, where):
     class ids must fit int64 and scores must be finite (_RULES).  The error
     of the first invalid record starts with ``where(its row)``.
     """
-    # One C-level pass per field while every record is an object with every
-    # field, as written records are; otherwise record by record.
+    first, problem = len(recs), None
     try:
-        columns = {field: list(map(operator.itemgetter(field), recs)) for field in _FIELDS}
-        first, problem = len(recs), None
-    except (KeyError, TypeError):
-        first, problem, columns = _columns_by_record(recs)
+        columns = _columns(recs)
+    except (KeyError, TypeError):  # a record lacks a required field or is no object
+        first = next(compress(count(), map(_lookup_error, recs)))
+        problem = f"bad instance record {recs[first]!r}: {_lookup_error(recs[first])}"
+        columns = _columns(recs[:first])
     first, problem = _first_broken_rule(recs, columns, first, problem)
     if problem:
         raise DomainError(f"{where(first)}: {problem}")

@@ -135,7 +135,7 @@ def _bound_matvecs(*mats: np.ndarray) -> list:
 
     One model's 2-D matrices give their bound ``ndarray.dot``: the routine
     ``np.dot`` calls, without its dispatcher's Python frame.  A stack's
-    (M, H, H) matrices give one batched ``np.matmul`` over the (M, H, 1)
+    (..., M, H, H) matrices give one batched ``np.matmul`` over the (M, H, 1)
     column views of ``_column_view``.  Both equal per-model ``np.dot`` bit
     for bit.  No lambda: a Python frame per matvec is what this avoids.
     """
@@ -145,8 +145,8 @@ def _bound_matvecs(*mats: np.ndarray) -> list:
 
 
 def _column_view(lead: tuple):
-    """The view the loops give their per-step arrays: as they are for one
-    model, (M, H, 1) columns for a stack."""
+    """The view the backward loop gives its per-step arrays: as they are
+    for one model, (M, H, 1) columns for a stack."""
     return (lambda a: a[..., None]) if lead else (lambda a: a)
 
 
@@ -156,55 +156,109 @@ def _swap_stack(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 2 else a.swapaxes(0, 1)
 
 
-# Each thread's workspaces, one per loop: the step-major buffers of the last
-# window shape the thread ran and the per-step views the loop walks.
+# Steps per block of the forward's walk.  A window is projected and walked
+# BLOCK rows at a time, so that no input projection is big enough for the
+# BLAS to start a thread, and the forward's workspace holds one block.
+BLOCK = 128
+
+
+def _block_bounds(t: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks a T-step window is walked in: BLOCK rows
+    each, except that a last block of one row joins the one before it,
+    since a one-row projection runs as a gemv and rounds differently from
+    the same row of a gemm.  So a block has at most BLOCK + 1 rows."""
+    stops = list(range(BLOCK, t, BLOCK))
+    if stops and t - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [t]))
+
+
+# Each thread's workspaces, one per loop: the buffers of the last shape the
+# thread ran and the per-step views the loop walks.
 _WORKSPACES = threading.local()
 
 
-def _workspace(build, t: int, lead: tuple, hd: int) -> SimpleNamespace:
-    """``build(t, lead, hd)`` for the calling thread: reused while its key
-    (T, leading model shape, H) repeats, replaced when the key changes.
-    Nothing a caller holds may be a view of it, since the next call of the
-    same shape overwrites it."""
-    key = (t, lead, hd)
+def _workspace(build, *key) -> SimpleNamespace:
+    """``build(*key)`` for the calling thread: reused while its key repeats,
+    replaced when the key changes.  The forward's key is (leading model
+    shape, H), since every window walks the same BLOCK + 1 rows; the
+    backward's is (T, leading model shape, H).  Nothing a caller holds may
+    be a view of a workspace, since the next call overwrites it."""
     held = getattr(_WORKSPACES, build.__name__, None)
     if held is None or held[0] != key:
-        held = (key, build(t, lead, hd))
+        held = (key, build(*key))
         setattr(_WORKSPACES, build.__name__, held)
     return held[1]
 
 
-def _forward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
-    col = _column_view(lead)
+def _forward_workspace(lead: tuple, hd: int) -> SimpleNamespace:
+    """Buffers and per-step views for one block.  The buffers are laid out
+    step-major and, within a step, block-major (a stack's gate row is
+    (4, M, H)), so that every per-step operand of a ufunc is one flat
+    contiguous row; only the recurrent product sees the model axis."""
+    n = BLOCK + 1
     ws = SimpleNamespace()
-    # The input part [xa_z | -xa_z | xa_h] of every step's gate row.
-    ws.xa = np.empty((t,) + lead + (3 * hd,))
-    # A step's gate row is [0 | a_z | -a_z | a_h]: one minimum of its middle
-    # half against its first half gives [min(a_z, 0), -|a_z|].  No step
+    # The input part [xa_z, -xa_z, xa_h] of every step's gate row.
+    xa = np.empty((n, 3) + lead + (hd,))
+    ws.xa_z, ws.xa_nz, ws.xa_h = xa[:, 0], xa[:, 1], xa[:, 2]
+    # A step's gate row is [0, a_z, -a_z, a_h]: one minimum of its middle
+    # two blocks against its first two gives [min(a_z, 0), -|a_z|].  No step
     # writes the first block, so it stays 0 across calls.
-    row = np.zeros(lead + (4 * hd,))
-    ws.pre, ws.low, ws.mid, ws.a_h = (
-        col(row[..., hd:]), col(row[..., :2 * hd]),
-        col(row[..., hd:3 * hd]), col(row[..., 3 * hd:]),
-    )
-    # The three gate blocks, when each takes its own matvec.
-    ws.blocks = col(row[..., hd:2 * hd]), col(row[..., 2 * hd:3 * hd]), ws.a_h
+    row = np.zeros((4,) + lead + (hd,))
+    ws.pre, ws.low, ws.mid, ws.a_h = (v.reshape(-1) for v in (row[1:], row[:2], row[1:3], row[3]))
+    # Where the recurrent product goes: a stack's batched product writes
+    # (3, M, H, 1) columns, one model's matvec the flat row, or, when each
+    # block takes its own matvec, the three (H,) blocks.
+    ws.gates = row[1:, ..., None] if lead else ws.pre
+    ws.blocks = row[1], row[2], row[3]
     # Numerator and denominator exps of the sigmoid, one exp call for both.
-    exps = np.empty(lead + (2 * hd,))
-    ws.num, ws.neg_abs, ws.exps = col(exps[..., :hd]), col(exps[..., hd:]), col(exps)
-    ws.den = col(np.empty(lead + (hd,)))
+    exps = np.empty((2,) + lead + (hd,))
+    ws.exps, ws.num, ws.neg_abs = exps.reshape(-1), exps[0].reshape(-1), exps[1].reshape(-1)
+    ws.den = np.empty(ws.a_h.size)
     # kz[i] = [1 - z, z] and hc = [h0, cand, h, cand, h, ...], so that step
     # i's kz[i] * hc[2i:2i+2] = [(1 - z) * h_prev, z * cand] is one product.
-    ws.kz = kz = np.empty((t, 2) + lead + (hd,))
-    ws.hc = hc = np.empty((2 * t + 1,) + lead + (hd,))
-    ws.pairs = pairs = hc[:-1].reshape(kz.shape)  # pairs[i] = [h_prev, cand] of step i
-    ws.h0 = col(hc[0])
-    ws.mix = mix = col(np.empty((2,) + lead + (hd,)))
-    ws.mix_keep, ws.mix_new = mix
-    ws.steps = list(zip(
-        *(col(v) for v in (ws.xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2]))
-    ))
+    kz = np.empty((n, 2) + lead + (hd,))
+    ws.hc = hc = np.empty((2 * n + 1,) + lead + (hd,))
+    pairs = hc[:-1].reshape(kz.shape)  # pairs[i] = [h_prev, cand] of step i
+    mix = np.empty((2, ws.a_h.size))
+    ws.mix, (ws.mix_keep, ws.mix_new) = mix.reshape(-1), mix
+    # Each step's h_prev, z, cand and h, which the cache keeps.
+    ws.kept = pairs[:, 0], kz[:, 1], pairs[:, 1], hc[2::2]
+    # A step's h_prev as the recurrent product takes it, (M, H, 1) columns
+    # for a stack, and its other operands as flat rows (views, since each
+    # step's part of these buffers is contiguous).
+    h_in = pairs[:, 0, ..., None] if lead else pairs[:, 0]
+    ws.steps = list(zip(h_in, *(
+        v.reshape(n, -1) for v in (xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2])
+    )))
     return ws
+
+
+def _forward_blocks(ws: SimpleNamespace, params: ScorerParams, xs: np.ndarray,
+                    h0: np.ndarray, outs: tuple):
+    """The per-step views of ``ws`` for a window of ``xs``, block by block.
+
+    Before a block's steps, projects its input rows into the workspace,
+    biases included; after them, copies its rows of h_prev, z, cand and h
+    into ``outs``, their ``(T,) + lead + (H,)`` views.  Two projections: one
+    of the stacked [w_z; w_h] rounds differently.
+    """
+    w_z, _, b_z, w_h, _, b_h, _, _ = params.arrays()
+    w_z_t, w_h_t = np.swapaxes(w_z, -1, -2), np.swapaxes(w_h, -1, -2)
+    hc = ws.hc
+    hc[0] = h0
+    for start, stop in _block_bounds(len(xs)):
+        n = stop - start
+        xa_z, xa_nz, xa_h = ws.xa_z[:n], ws.xa_nz[:n], ws.xa_h[:n]
+        np.matmul(xs[start:stop], w_z_t, out=_swap_stack(xa_z))
+        np.matmul(xs[start:stop], w_h_t, out=_swap_stack(xa_h))
+        xa_z += b_z
+        xa_h += b_h
+        np.negative(xa_z, xa_nz)
+        yield from ws.steps[:n]
+        for out, rows in zip(outs, ws.kept):
+            out[start:stop] = rows[:n]
+        hc[0] = hc[2 * n]
 
 
 def _backward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
@@ -216,10 +270,10 @@ def _backward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
     ws.g = g = np.empty_like(f)
     g[:, 2] = 1.0
     ws.d = d = np.empty_like(f)
-    ws.dh_out = np.empty(lead + (t, hd))
+    ws.dh_out = np.empty((t,) + lead + (hd,))
     ws.dh, ws.back = col(np.empty((2,) + lead + (hd,)))
     ws.carry0 = col(np.zeros(lead + (hd,)))
-    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, _swap_stack(ws.dh_out))
+    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, ws.dh_out)
     ws.steps = list(zip(*(col(r[::-1]) for r in rows)))
     return ws
 
@@ -240,11 +294,13 @@ def forward_sequence(
     The only implementation of the cell: forward_step is its one-row call,
     and passing the last hidden state as the next h0 continues a stream.
     A stack of M models runs over the same xs, with h0, the logits and the
-    cache's hidden arrays (M, H), (M, T, S) and (M, T, H).  Each step writes
-    in place into the thread's workspace for this window shape, whose
-    buffers are laid out step by step, so that one call covers operands that
-    would otherwise take two or three.  The cache's hidden arrays are
-    C-contiguous copies of them.
+    cache's hidden arrays (M, H), (M, T, S) and (M, T, H).  The steps walk
+    the window in blocks of BLOCK rows (_block_bounds), each projecting only
+    its own input rows, and write in place into the thread's one workspace
+    for this stack shape, whose buffers are laid out step by step, so that
+    one call covers operands that would otherwise take two or three.  The
+    cache's hidden arrays are C-contiguous copies of them, and the head runs
+    once over the whole window.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.feature_dim:
@@ -254,42 +310,36 @@ def forward_sequence(
     t = xs.shape[0]
     if t == 0:
         raise DomainError("empty input sequence")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise DomainError("non-finite values in features")
     lead = params.flat.shape[:-1]
     hd = params.hidden_dim
     h0 = np.zeros(lead + (hd,)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h0.shape != lead + (hd,):
         raise DomainError(f"h0 shape {h0.shape} != {lead + (hd,)}")
-    w_z, u_z, b_z, w_h, u_h, b_h, w_o, b_o = params.arrays()
-    ws = _workspace(_forward_workspace, t, lead, hd)
-
-    # The input part of the gate rows, biases included.  Two projections:
-    # one of the stacked [w_z; w_h] rounds differently.
-    xa = ws.xa
-    by_model = _swap_stack(xa)
-    np.matmul(xs, np.swapaxes(w_z, -1, -2), out=by_model[..., :hd])
-    np.matmul(xs, np.swapaxes(w_h, -1, -2), out=by_model[..., 2 * hd:])
-    xa[..., :hd] += b_z
-    xa[..., 2 * hd:] += b_h
-    np.negative(xa[..., :hd], xa[..., hd:2 * hd])
-    ws.hc[0] = h0
-    # One matvec of the stacked [u_z; -u_z; u_h] for the three gate blocks.
-    # Checked for H = 1-79 on OpenBLAS 0.3.31 (the scipy-openblas64 build
-    # bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX core), whose dgemv
-    # computes rows in blocks of four: the stacked product equals the
-    # per-block ones when 4 divides H, and at most H not divisible by 4 a
-    # row falls in another block than in its own matrix and rounds
+    if not np.isfinite(h0).all():
+        raise DomainError("non-finite values in h0")
+    _, u_z, _, _, u_h, _, w_o, b_o = params.arrays()
+    ws = _workspace(_forward_workspace, lead, hd)
+    # One model's matvec of the stacked [u_z; -u_z; u_h] gives the three
+    # gate blocks.  Checked for H = 1-79 on OpenBLAS 0.3.31 (the
+    # scipy-openblas64 build bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX
+    # core), whose dgemv computes rows in blocks of four: the stacked product
+    # equals the per-block ones when 4 divides H, and at most H not divisible
+    # by 4 a row falls in another block than in its own matrix and rounds
     # differently.  Those H keep one matvec per block.  Another BLAS may
     # block otherwise; then
-    # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.
-    split = hd % 4 != 0
+    # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.  A
+    # stack's one batched product of the (3, M, H, H) blocks multiplies each
+    # block on its own, at any H.
+    split = hd % 4 != 0 and not lead
     if split:
         matvec_a, matvec_b, matvec_c = _bound_matvecs(u_z, -u_z, u_h)
         out_a, out_b, out_c = ws.blocks
     else:
-        (matvec_a,) = _bound_matvecs(np.concatenate((u_z, -u_z, u_h), axis=-2))
-        out_a = ws.pre
+        mats = (u_z, -u_z, u_h)
+        (matvec_a,) = _bound_matvecs(np.stack(mats) if lead else np.concatenate(mats))
+        out_a = ws.gates
     pre, low, mid, a_h = ws.pre, ws.low, ws.mid, ws.a_h
     num, neg_abs, exps, den = ws.num, ws.neg_abs, ws.exps, ws.den
     mix, mix_keep, mix_new = ws.mix, ws.mix_keep, ws.mix_new
@@ -297,8 +347,11 @@ def forward_sequence(
     # call is a measurable share of a call on rows this short.
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     minimum, exp, tanh = np.minimum, np.exp, np.tanh
-    h = ws.h0
-    for a, kz_i, keep, z, cand, pair, h_next in ws.steps:
+    # The cache's h_prev, z, cand and h: the blocks' rows, copied, since the
+    # next block overwrites the workspace.
+    cached = [np.empty(lead + (t, hd)) for _ in range(4)]
+    steps = _forward_blocks(ws, params, xs, h0, tuple(map(_swap_stack, cached)))
+    for h, a, kz_i, keep, z, cand, pair, h_next in steps:
         matvec_a(h, out_a)
         if split:
             matvec_b(h, out_b)
@@ -316,13 +369,7 @@ def forward_sequence(
         subtract(_ONE, z, keep)
         multiply(kz_i, pair, mix)
         add(mix_keep, mix_new, h_next)
-        h = h_next
-    # Copies, not views: the next call of this shape overwrites the workspace.
-    # Not ascontiguousarray, which hands out a view at T = 1.
-    h_prev, z_all, cand_all, h_all = (
-        _swap_stack(a).copy()
-        for a in (ws.pairs[:, 0], ws.kz[:, 1], ws.pairs[:, 1], ws.hc[2::2])
-    )
+    h_prev, z_all, cand_all, h_all = cached
     logits = np.matmul(h_all, np.swapaxes(w_o, -1, -2))
     logits += b_o[..., None, :]
     cache = ForwardCache(
@@ -350,12 +397,14 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         raise DomainError(
             f"dlogits shape {dlogits.shape} != {lead + (t, p.num_states)}"
         )
+    if not np.isfinite(dlogits).all():
+        raise DomainError("non-finite values in dlogits")
     _, u_z, _, _, u_h, _, w_o, _ = p.arrays()
     hd = p.hidden_dim
     dlogits = np.ascontiguousarray(dlogits)
     h_prev, z_all, h_cand = (_swap_stack(a) for a in (cache.h_prev, cache.z, cache.h_cand))
     ws = _workspace(_backward_workspace, t, lead, hd)
-    np.matmul(dlogits, w_o, out=ws.dh_out)
+    np.matmul(dlogits, w_o, out=_swap_stack(ws.dh_out))
 
     f, g, d = ws.f, ws.g, ws.d
     np.subtract(h_cand, h_prev, f[:, 0])

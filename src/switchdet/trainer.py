@@ -31,7 +31,10 @@ log = logging.getLogger("switchdet")
 # One video is (T x D feature matrix, list of ground-truth instances).
 Video = tuple[np.ndarray, list[ActionInterval]]
 
-# Frames per scorer call in infer_instances; bounds the forward cache's memory.
+# Frames per scorer call in infer_instances.  It fixes the gemm shape of the
+# head, which runs once per window, and bounds the forward cache's memory;
+# the recurrence walks each window in scorer.BLOCK-row blocks, so the
+# loop's own memory is one block.
 INFER_WINDOW = 1024
 
 

@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: the standard library's ast,
-import checks in a fresh interpreter, and the instance reader's call and
-memory budgets per record."""
+import checks in a fresh interpreter, the instance reader's call and
+memory budgets per record, and that inference leaves the BLAS threads idle."""
 
 import ast
 import json
@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import switchdet
@@ -319,6 +320,60 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter: the CPU ticks that inference adds to the threads
+# other than the main one, after they have gone idle.  numpy's OpenBLAS starts
+# its helper threads when it loads; a product big enough to be split wakes
+# them, and they spin for a while before they sleep again.
+BLAS_HELPER_TICKS = '''
+import os, time
+import numpy as np
+from switchdet.scorer import init_params
+from switchdet.switchboard import SwitchConfig
+from switchdet.trainer import infer_instances
+
+
+def helper_ticks():
+    main, ticks = str(os.getpid()), 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != main:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks
+
+
+config = SwitchConfig(2)
+params = init_params(16, 32, config.num_states, seed=0)
+features = np.random.default_rng(0).normal(size=(2304, 16))
+before = helper_ticks()
+for _ in range(50):
+    time.sleep(0.2)
+    before, last = helper_ticks(), before
+    if before == last:
+        break
+infer_instances(params, features, config)
+print(helper_ticks() - before)
+'''
+
+
+def test_infer_leaves_blas_helper_threads_idle():
+    # The forward projects at most BLOCK + 1 rows at a time, too few for
+    # OpenBLAS to split a product across threads; a projection of a whole
+    # INFER_WINDOW would wake the helper, which then spins on another CPU.
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/task")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS starts no helper thread")
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    src = str(Path(switchdet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", BLAS_HELPER_TICKS], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 FAILING_PROPERTY = '''

@@ -1,14 +1,16 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchdet import trainer
+from switchdet import scorer, trainer
 from switchdet.exceptions import DomainError
 from switchdet.losses import sequence_loss_and_grad
 from switchdet.scorer import (
+    BLOCK,
     ForwardCache,
     ScorerParams,
     backward_sequence,
@@ -158,6 +160,21 @@ class TestForward:
         xs[2, 1] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
             forward_sequence(p, xs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_h0_and_cotangent(self, bad):
+        p = init_params(3, 4, 2, seed=1)
+        h0 = np.zeros(4)
+        h0[1] = bad
+        with pytest.raises(DomainError, match="non-finite values in h0"):
+            forward_sequence(p, np.zeros((5, 3)), h0)
+        with pytest.raises(DomainError, match="non-finite values in h0"):
+            forward_step(p, np.zeros(3), h0)
+        _, cache = forward_sequence(p, np.zeros((5, 3)))
+        dlogits = np.zeros((5, 2))
+        dlogits[3, 0] = bad
+        with pytest.raises(DomainError, match="non-finite values in dlogits"):
+            backward_sequence(cache, dlogits)
 
 
 class TestBackward:
@@ -312,14 +329,54 @@ def assert_matches_reference(params, xs, h0, seed):
         assert_same_bits(getattr(grads, name), getattr(ref_grads, name), "d" + name)
 
 
+def assert_each_model_matches_reference(models, xs, h0, rng):
+    """The models' stack against the reference loops run on each model
+    alone, with a cotangent drawn from ``rng``."""
+    logits, cache = forward_sequence(stacked(models), xs, h0)
+    dlogits = rng.normal(size=logits.shape)
+    grads = backward_sequence(cache, dlogits)
+    assert logits.shape[0] == len(models)
+    for i, q in enumerate(models):
+        ref_logits, ref_cache = reference_forward_sequence(
+            q, xs, None if h0 is None else h0[i]
+        )
+        assert_same_bits(logits[i], ref_logits, f"model {i} logits")
+        assert_same_bits(cache.xs, ref_cache.xs, "xs")
+        for name in CACHE_FIELDS[1:]:
+            assert_same_bits(getattr(cache, name)[i], getattr(ref_cache, name),
+                             f"model {i} {name}")
+        ref_grads = reference_backward_sequence(ref_cache, dlogits[i])
+        for name in PARAM_FIELDS:
+            assert_same_bits(getattr(grads, name)[i], getattr(ref_grads, name),
+                             f"model {i} d{name}")
+
+
+# Window lengths around the forward's blocks: one block, a block and one row
+# (which the last block takes), a block and a two-row block, and an infer
+# window and a block and one row.
+LENGTHS = [1, 2, 33, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
+           trainer.INFER_WINDOW + BLOCK + 1]
+
+
 class TestMatchesReferenceLoops:
     @pytest.mark.parametrize("with_h0", [False, True])
-    @pytest.mark.parametrize("t", [1, 2, 33])
+    @pytest.mark.parametrize("t", LENGTHS)
     def test_lengths_and_initial_state(self, t, with_h0):
         rng = np.random.default_rng(10 + t)
         p = init_params(5, 7, 4, seed=t)
         h0 = rng.uniform(-1, 1, size=7) if with_h0 else None
         assert_matches_reference(p, rng.normal(size=(t, 5)), h0, seed=t)
+
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("t", LENGTHS)
+    def test_stack_lengths_and_initial_state(self, t, with_h0):
+        # A stack of two at the default D = 16 and H = 32, as a sweep trains.
+        rng = np.random.default_rng(20 + t)
+        models = perturbed_models(rng, 2, 16, 32, 4)
+        h0 = rng.uniform(-1, 1, size=(2, 32)) if with_h0 else None
+        assert_each_model_matches_reference(
+            models, rng.normal(size=(t, 16)), h0, np.random.default_rng(t)
+        )
 
     @pytest.mark.parametrize("s", [2, 4, 8])
     @pytest.mark.parametrize("d, h", [(16, 32), (9, 4), (1, 3), (3, 1)])
@@ -551,6 +608,19 @@ class TestStack:
         with pytest.raises(DomainError, match="dlogits shape"):
             backward_sequence(cache, np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_stacked_h0_and_cotangent(self, bad):
+        stack = stacked([init_params(3, 4, 2, seed=i) for i in range(2)])
+        h0 = np.zeros((2, 4))
+        h0[1, 2] = bad
+        with pytest.raises(DomainError, match="non-finite values in h0"):
+            forward_sequence(stack, np.zeros((5, 3)), h0)
+        _, cache = forward_sequence(stack, np.zeros((5, 3)))
+        dlogits = np.zeros((2, 5, 2))
+        dlogits[0, 4, 1] = bad
+        with pytest.raises(DomainError, match="non-finite values in dlogits"):
+            backward_sequence(cache, dlogits)
+
     @pytest.mark.parametrize("with_h0", [False, True])
     @pytest.mark.parametrize("s", [2, 4, 8])
     @pytest.mark.parametrize("h", [1, 3, 31, 32])
@@ -562,23 +632,7 @@ class TestStack:
         models = perturbed_models(rng, m, d, h, s)
         xs = rng.normal(size=(t, d))
         h0 = rng.uniform(-1, 1, size=(m, h)) if with_h0 else None
-        logits, cache = forward_sequence(stacked(models), xs, h0)
-        dlogits = rng.normal(size=logits.shape)
-        grads = backward_sequence(cache, dlogits)
-        assert logits.shape == (m, t, s)
-        for i, q in enumerate(models):
-            ref_logits, ref_cache = reference_forward_sequence(
-                q, xs, None if h0 is None else h0[i]
-            )
-            assert_same_bits(logits[i], ref_logits, f"model {i} logits")
-            assert_same_bits(cache.xs, ref_cache.xs, "xs")
-            for name in CACHE_FIELDS[1:]:
-                assert_same_bits(getattr(cache, name)[i], getattr(ref_cache, name),
-                                 f"model {i} {name}")
-            ref_grads = reference_backward_sequence(ref_cache, dlogits[i])
-            for name in PARAM_FIELDS:
-                assert_same_bits(getattr(grads, name)[i], getattr(ref_grads, name),
-                                 f"model {i} d{name}")
+        assert_each_model_matches_reference(models, xs, h0, rng)
 
     def test_streaming_step_of_a_stack(self):
         rng = np.random.default_rng(9)
@@ -631,8 +685,32 @@ class TestStack:
 
 
 class TestWorkspace:
-    """Each thread reuses one forward and one backward workspace per window
-    shape; nothing a call returns may be a view of it."""
+    """Each thread reuses one forward workspace per stack shape and one
+    backward workspace per window shape; nothing a call returns may be a view
+    of either."""
+
+    @pytest.mark.parametrize("m", [None, 2], ids=["one-model", "stack"])
+    def test_one_forward_workspace_per_thread_and_stack_shape(self, m):
+        rng = np.random.default_rng(50)
+        models = perturbed_models(rng, m or 1, 5, 8, 4)
+        params = models[0] if m is None else stacked(models)
+
+        def held(found):
+            """The forward workspace this thread holds after each window."""
+            for t in (1, 37, BLOCK, BLOCK + 1, trainer.INFER_WINDOW, 1153):
+                forward_sequence(params, rng.normal(size=(t, 5)))
+                found.append(scorer._WORKSPACES._forward_workspace[1])
+
+        here, there = [], []
+        held(here)
+        thread = threading.Thread(target=held, args=(there,))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(there) == len(here)
+        for found in (here, there):
+            assert all(ws is found[0] for ws in found)
+            assert len(found[0].steps) == BLOCK + 1
+        assert there[0] is not here[0]
 
     @pytest.mark.parametrize("t", [1, 37])
     @pytest.mark.parametrize("m", [None, 2], ids=["one-model", "stack"])

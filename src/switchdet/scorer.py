@@ -133,21 +133,16 @@ _ONE = _read_only(1.0)
 def _bound_matvecs(*mats: np.ndarray) -> list:
     """The per-step matvec by each matrix, as a callable ``f(v, out)``.
 
-    One model's 2-D matrices give their bound ``ndarray.dot``: the routine
-    ``np.dot`` calls, without its dispatcher's Python frame.  A stack's
-    (..., M, H, H) matrices give one batched ``np.matmul`` over the (M, H, 1)
-    column views of ``_column_view``.  Both equal per-model ``np.dot`` bit
-    for bit.  No lambda: a Python frame per matvec is what this avoids.
+    A 2-D matrix gives its bound ``ndarray.dot`` over flat rows: the routine
+    ``np.dot`` calls, without its dispatcher's Python frame.  Stacked
+    (..., H, H) blocks give one batched ``np.matmul`` over (..., H, 1)
+    columns, which multiplies each block on its own.  Both equal per-block
+    ``np.dot`` bit for bit.  No lambda: a Python frame per matvec is what
+    this avoids.
     """
     if mats[0].ndim == 2:
         return [m.dot for m in mats]
     return [partial(np.matmul, m) for m in mats]
-
-
-def _column_view(lead: tuple):
-    """The view the backward loop gives its per-step arrays: as they are
-    for one model, (M, H, 1) columns for a stack."""
-    return (lambda a: a[..., None]) if lead else (lambda a: a)
 
 
 def _swap_stack(a: np.ndarray) -> np.ndarray:
@@ -195,7 +190,7 @@ def _forward_workspace(lead: tuple, hd: int) -> SimpleNamespace:
     """Buffers and per-step views for one block.  The buffers are laid out
     step-major and, within a step, block-major (a stack's gate row is
     (4, M, H)), so that every per-step operand of a ufunc is one flat
-    contiguous row; only the recurrent product sees the model axis."""
+    contiguous row; only the recurrent product may take (H, 1) columns."""
     n = BLOCK + 1
     ws = SimpleNamespace()
     # The input part [xa_z, -xa_z, xa_h] of every step's gate row.
@@ -206,11 +201,18 @@ def _forward_workspace(lead: tuple, hd: int) -> SimpleNamespace:
     # writes the first block, so it stays 0 across calls.
     row = np.zeros((4,) + lead + (hd,))
     ws.pre, ws.low, ws.mid, ws.a_h = (v.reshape(-1) for v in (row[1:], row[:2], row[1:3], row[3]))
-    # Where the recurrent product goes: a stack's batched product writes
-    # (3, M, H, 1) columns, one model's matvec the flat row, or, when each
-    # block takes its own matvec, the three (H,) blocks.
-    ws.gates = row[1:, ..., None] if lead else ws.pre
-    ws.blocks = row[1], row[2], row[3]
+    # The recurrent product of [u_z, -u_z, u_h], of two kinds chosen here
+    # alone.  For one model when 4 divides H, one matvec of the stacked
+    # [u_z; -u_z; u_h] over flat rows: on OpenBLAS 0.3.31 (the
+    # scipy-openblas64 build bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX
+    # core) dgemv computes rows in blocks of four, so only at those H does
+    # each row round as in its own matrix (checked for H = 1-79).  Otherwise
+    # one batched matmul of the (3,) + lead + (H, H) blocks over (H, 1)
+    # columns, which multiplies each block on its own at any H.  Another BLAS
+    # may block otherwise; then
+    # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.
+    ws.fused = hd % 4 == 0 and not lead
+    ws.gates = ws.pre if ws.fused else row[1:, ..., None]
     # Numerator and denominator exps of the sigmoid, one exp call for both.
     exps = np.empty((2,) + lead + (hd,))
     ws.exps, ws.num, ws.neg_abs = exps.reshape(-1), exps[0].reshape(-1), exps[1].reshape(-1)
@@ -224,10 +226,10 @@ def _forward_workspace(lead: tuple, hd: int) -> SimpleNamespace:
     ws.mix, (ws.mix_keep, ws.mix_new) = mix.reshape(-1), mix
     # Each step's h_prev, z, cand and h, which the cache keeps.
     ws.kept = pairs[:, 0], kz[:, 1], pairs[:, 1], hc[2::2]
-    # A step's h_prev as the recurrent product takes it, (M, H, 1) columns
-    # for a stack, and its other operands as flat rows (views, since each
-    # step's part of these buffers is contiguous).
-    h_in = pairs[:, 0, ..., None] if lead else pairs[:, 0]
+    # A step's h_prev as the recurrent product takes it, and its other
+    # operands as flat rows (views, since each step's part of these buffers
+    # is contiguous).
+    h_in = pairs[:, 0] if ws.fused else pairs[:, 0, ..., None]
     ws.steps = list(zip(h_in, *(
         v.reshape(n, -1) for v in (xa, kz, kz[:, 0], kz[:, 1], pairs[:, 1], pairs, hc[2::2])
     )))
@@ -262,7 +264,9 @@ def _forward_blocks(ws: SimpleNamespace, params: ScorerParams, xs: np.ndarray,
 
 
 def _backward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
-    col = _column_view(lead)
+    """Buffers and per-step views for a T-step window, laid out as the
+    forward's: every per-step operand of a ufunc is one flat row, and only
+    a stack's two recurrent matvecs see (M, H, 1) columns."""
     ws = SimpleNamespace()
     # f[i] = [cand - h_prev, z, 1 - z], g[i] = [z, 1 - cand^2, 1] and
     # d[i] = [da_z, da_h, carry into step i - 1]; g's last row stays 1.
@@ -271,10 +275,14 @@ def _backward_workspace(t: int, lead: tuple, hd: int) -> SimpleNamespace:
     g[:, 2] = 1.0
     ws.d = d = np.empty_like(f)
     ws.dh_out = np.empty((t,) + lead + (hd,))
-    ws.dh, ws.back = col(np.empty((2,) + lead + (hd,)))
-    ws.carry0 = col(np.zeros(lead + (hd,)))
-    rows = (d, d[:, 0], d[:, 1], d[:, 2], f, f[:, 2], g, ws.dh_out)
-    ws.steps = list(zip(*(col(r[::-1]) for r in rows)))
+    dh, back = np.empty((2,) + lead + (hd,))
+    ws.dh, ws.back, ws.carry0 = dh.reshape(-1), back.reshape(-1), np.zeros(dh.size)
+    # back, da_z and da_h as the matvecs take them: (M, H, 1) columns for a
+    # stack, flat rows for one model.
+    ws.back_in, *cols = (a[..., None] if lead else a for a in (back, d[:, 0], d[:, 1]))
+    rows = (v.reshape(t, -1) for v in (d[:, 0], d[:, 2], f[:, 2], ws.dh_out))
+    blocks = (v.reshape(t, 3, -1) for v in (d, f, g))
+    ws.steps = list(zip(*(a[::-1] for a in (*blocks, *rows, *cols))))
     return ws
 
 
@@ -321,26 +329,9 @@ def forward_sequence(
         raise DomainError("non-finite values in h0")
     _, u_z, _, _, u_h, _, w_o, b_o = params.arrays()
     ws = _workspace(_forward_workspace, lead, hd)
-    # One model's matvec of the stacked [u_z; -u_z; u_h] gives the three
-    # gate blocks.  Checked for H = 1-79 on OpenBLAS 0.3.31 (the
-    # scipy-openblas64 build bundled with numpy 2.4.6, DYNAMIC_ARCH, SkylakeX
-    # core), whose dgemv computes rows in blocks of four: the stacked product
-    # equals the per-block ones when 4 divides H, and at most H not divisible
-    # by 4 a row falls in another block than in its own matrix and rounds
-    # differently.  Those H keep one matvec per block.  Another BLAS may
-    # block otherwise; then
-    # test_scorer.py::test_stacked_gates_equal_per_gate_matvecs fails.  A
-    # stack's one batched product of the (3, M, H, H) blocks multiplies each
-    # block on its own, at any H.
-    split = hd % 4 != 0 and not lead
-    if split:
-        matvec_a, matvec_b, matvec_c = _bound_matvecs(u_z, -u_z, u_h)
-        out_a, out_b, out_c = ws.blocks
-    else:
-        mats = (u_z, -u_z, u_h)
-        (matvec_a,) = _bound_matvecs(np.stack(mats) if lead else np.concatenate(mats))
-        out_a = ws.gates
-    pre, low, mid, a_h = ws.pre, ws.low, ws.mid, ws.a_h
+    mats = (u_z, -u_z, u_h)
+    (matvec,) = _bound_matvecs(np.concatenate(mats) if ws.fused else np.stack(mats))
+    gates, pre, low, mid, a_h = ws.gates, ws.pre, ws.low, ws.mid, ws.a_h
     num, neg_abs, exps, den = ws.num, ws.neg_abs, ws.exps, ws.den
     mix, mix_keep, mix_new = ws.mix, ws.mix_keep, ws.mix_new
     # Local names for the ufuncs: looking np and its attribute up on every
@@ -352,10 +343,7 @@ def forward_sequence(
     cached = [np.empty(lead + (t, hd)) for _ in range(4)]
     steps = _forward_blocks(ws, params, xs, h0, tuple(map(_swap_stack, cached)))
     for h, a, kz_i, keep, z, cand, pair, h_next in steps:
-        matvec_a(h, out_a)
-        if split:
-            matvec_b(h, out_b)
-            matvec_c(h, out_c)
+        matvec(h, gates)
         add(pre, a, pre)
         # z = sigmoid(a_z) as exp(min(a_z, 0)) / (1 + exp(-|a_z|)): that is
         # 1 / (1 + exp(-a_z)) where a_z >= 0 and exp(a_z) / (1 + exp(a_z))
@@ -413,11 +401,11 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
     g[:, 0] = z_all
     np.multiply(h_cand, h_cand, g[:, 1])
     np.subtract(_ONE, g[:, 1], g[:, 1])
-    dh, back, carry = ws.dh, ws.back, ws.carry0
+    dh, back, back_in, carry = ws.dh, ws.back, ws.back_in, ws.carry0
     matvec_z, matvec_h = _bound_matvecs(np.swapaxes(u_z, -1, -2), np.swapaxes(u_h, -1, -2))
     # Local names for the ufuncs, as in forward_sequence.
     add, multiply = np.add, np.multiply
-    for d_i, da_z, da_h, carry_i, f_i, omz, g_i, dh_o in ws.steps:
+    for d_i, f_i, g_i, da_z, carry_i, omz, dh_o, az_in, ah_in in ws.steps:
         add(dh_o, carry, dh)
         # [da_z, da_h, carry] = [dh * (cand - h_prev) * z * (1 - z),
         #                        dh * z * (1 - cand^2), dh * (1 - z)]
@@ -426,9 +414,9 @@ def backward_sequence(cache: ForwardCache, dlogits) -> ScorerParams:
         multiply(da_z, omz, da_z)
         # carry += u_z^T da_z + u_h^T da_h; one matvec over the stacked
         # [u_z; u_h] would round differently.
-        matvec_z(da_z, back)
+        matvec_z(az_in, back_in)
         add(carry_i, back, carry_i)
-        matvec_h(da_h, back)
+        matvec_h(ah_in, back_in)
         add(carry_i, back, carry_i)
         carry = carry_i
 

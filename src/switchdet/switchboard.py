@@ -154,25 +154,6 @@ class EncodeReport:
     merged_instances: list[int] = field(default_factory=list)
 
 
-def check_state(value: int, config: SwitchConfig) -> int:
-    """``value`` as an int, if it is a state of ``config``; a float is refused.
-
-    A bool, Python's or numpy's, is the state 0 or 1, as it is a label to
-    decode_sequence.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        if not isinstance(value, np.bool_):
-            raise DomainError(f"state {value!r} is not an integer") from None
-        value = int(value)
-    if not (0 <= value < config.num_states):
-        raise DomainError(
-            f"state {value} out of range for {config.num_switches} switches"
-        )
-    return value
-
-
 def encode_instances(
     instances: list[ActionInterval],
     length: int,
@@ -260,14 +241,18 @@ def decode_sequence(states, config: SwitchConfig) -> list[ActionInterval]:
     return out
 
 
-def _frame_index(frame) -> int:
-    """``frame`` as an int, if it is an integer other than a bool."""
-    if not isinstance(frame, bool):
+def _integer(value, name: str, bools: bool) -> int:
+    """``value`` as an int, if it is an integer; a float is refused, and so
+    is a bool, Python's or numpy's, unless ``bools``."""
+    if isinstance(value, (bool, np.bool_)):
+        if bools:
+            return int(value)
+    else:
         try:
-            return operator.index(frame)
+            return operator.index(value)
         except TypeError:
             pass
-    raise DomainError(f"frame {frame!r} is not an integer")
+    raise DomainError(f"{name} {value!r} is not an integer")
 
 
 class StreamDecoder:
@@ -289,17 +274,24 @@ class StreamDecoder:
         """The instances that closed before ``frame``, whose state is ``state``.
 
         A frame that is not an integer (a float, a bool) is a DomainError,
-        as a float state is; a numpy integer frame is taken as an int.
+        as a float state is; a numpy integer is taken as an int.  A bool
+        state, Python's or numpy's, is the state 0 or 1, as it is a label to
+        decode_sequence.
         """
         if self._finalized:
             raise ProtocolError("step() after finalize()")
         if type(frame) is not int:
-            frame = _frame_index(frame)
+            frame = _integer(frame, "frame", bools=False)
         if frame != self._next_frame:
             raise ProtocolError(
                 f"expected frame {self._next_frame}, got {frame}"
             )
-        state = check_state(state, self.config)
+        if type(state) is not int:
+            state = _integer(state, "state", bools=True)
+        if not (0 <= state < self.config.num_states):
+            raise DomainError(
+                f"state {state} out of range for {self.config.num_switches} switches"
+            )
         self._next_frame = frame + 1
         if state == self._prev:  # no switch flipped: nothing opens or closes
             return []

@@ -204,9 +204,11 @@ def infer_instances(
     """Inference: per-frame argmax state, decoded into intervals.
 
     The scorer runs over windows of INFER_WINDOW frames with the hidden
-    state carried across them, so the result equals the frame-by-frame
-    composition (one-step scorer, argmax, online decoder) that live
-    streams use.  No thresholds anywhere.
+    state carried across them, as the frame-by-frame composition (one-step
+    scorer, argmax, online decoder) that live streams use does.  Their
+    logits agree to within 1e-12, not bit for bit, since a one-row input
+    projection runs as a gemv; so the intervals are equal unless an argmax
+    is within that rounding of a tie.  No thresholds anywhere.
     """
     if params.num_states != config.num_states:
         raise DomainError(

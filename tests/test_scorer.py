@@ -541,30 +541,39 @@ def perturbed_models(rng, m, d, h, s):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_stacked_gates_equal_per_gate_matvecs(m):
-    # forward_sequence serves its three gate blocks with one matvec of
-    # [u_z; -u_z; u_h] when 4 divides H, which relies on the BLAS gemv
-    # rounding each row as it does in u_z or u_h alone, and on negation
-    # commuting with the sum.  The default H = 32 must keep that.
-    rng = np.random.default_rng(32)
-    h = 32
-    u_z, u_h = rng.normal(size=(2, m, h, h))
-    hs = rng.uniform(-1, 1, size=(m, h))
-    stacked_u = np.concatenate((u_z, -u_z, u_h), axis=-2)
-    rule = ("forward_sequence's `hd % 4 == 0` rule (one matvec of the stacked "
-            "[u_z; -u_z; u_h] for 4 | H) does not hold for this BLAS")
-    batched = np.matmul(stacked_u, hs[..., None])[..., 0]
-    for i in range(m):
-        per_block = np.concatenate(
-            (np.dot(u_z[i], hs[i]), -np.dot(u_z[i], hs[i]), np.dot(u_h[i], hs[i]))
-        )
-        assert np.dot(stacked_u[i], hs[i]).tobytes() == per_block.tobytes(), (
-            f"np.dot of [u_z; -u_z; u_h] rounds differently from the per-block "
-            f"matvecs at H = 32: {rule}"
-        )
-        assert batched[i].tobytes() == per_block.tobytes(), (
-            f"batched np.matmul of [u_z; -u_z; u_h] rounds differently from the "
-            f"per-block np.dot matvecs at H = 32: {rule}"
-        )
+    # forward_sequence serves its three gate blocks with one product: for
+    # one model when 4 divides H, one matvec of [u_z; -u_z; u_h], which
+    # relies on the BLAS gemv rounding each row as it does in u_z or u_h
+    # alone, and on negation commuting with the sum; otherwise one batched
+    # np.matmul of the (3,) + lead + (H, H) blocks, which relies on each
+    # block being multiplied as np.dot multiplies it.  The default H = 32
+    # must keep the first, and H = 31, where one model takes the second,
+    # the second.
+    rule = ("forward_sequence's gate-product rule (one matvec of the stacked "
+            "[u_z; -u_z; u_h] for one model when 4 | H, one batched matmul of "
+            "the blocks otherwise) does not hold for this BLAS")
+    for h in (32, 31):
+        rng = np.random.default_rng(h)
+        u_z, u_h = rng.normal(size=(2, m, h, h))
+        hs = rng.uniform(-1, 1, size=(m, h))
+        blocks = np.stack((u_z, -u_z, u_h))
+        batched = np.matmul(blocks, hs[..., None])[..., 0]
+        for i in range(m):
+            per_block = np.concatenate(
+                (np.dot(u_z[i], hs[i]), -np.dot(u_z[i], hs[i]), np.dot(u_h[i], hs[i]))
+            )
+            one_model = np.matmul(blocks[:, i], hs[i, :, None])[..., 0]
+            for product, what in ((batched[:, i], "a stack's"), (one_model, "one model's")):
+                assert product.tobytes() == per_block.tobytes(), (
+                    f"{what} batched np.matmul of [u_z, -u_z, u_h] rounds "
+                    f"differently from the per-block np.dot matvecs at H = {h}: {rule}"
+                )
+            if h % 4 == 0:
+                fused = np.dot(np.concatenate((u_z[i], -u_z[i], u_h[i])), hs[i])
+                assert fused.tobytes() == per_block.tobytes(), (
+                    f"np.dot of [u_z; -u_z; u_h] rounds differently from the "
+                    f"per-block matvecs at H = {h}: {rule}"
+                )
 
 
 class TestStack:
@@ -626,7 +635,8 @@ class TestStack:
     @pytest.mark.parametrize("h", [1, 3, 31, 32])
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_each_model_matches_reference_loops(self, m, h, s, with_h0):
-        # H = 31 is not a multiple of 4, so its gates take one matvec each.
+        # A stack's gates take the batched product of the three blocks at
+        # every H; H = 31, not a multiple of 4, is where one model's do too.
         rng = np.random.default_rng(1000 * m + 10 * h + s)
         d, t = 5, 37
         models = perturbed_models(rng, m, d, h, s)

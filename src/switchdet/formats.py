@@ -1,11 +1,15 @@
-"""On-disk formats: instance JSON Lines and state-sequence JSON.
+"""On-disk formats: instance JSON Lines, state-sequence JSON and the binary
+container of feature files and checkpoints.
 
-Instance records are one JSON object per line:
+Instance records are one JSON object per line, read as IntervalColumns:
   {"video_id": str, "start": int, "end": int,
    "class_id": int|null, "score": number|null, "truncated": bool}
 
 State sequences are a single JSON object:
   {"video_id": str, "num_switches": int, "labels": [int, ...]}
+
+A binary file is a 4-byte magic, a u32 version 1, the format's header
+fields, then exactly the body they imply, all little-endian.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import bisect
 import json
 import math
 import operator
+import struct
+from collections.abc import Sequence
 from itertools import compress, count, repeat
 from pathlib import Path
 from types import NoneType
@@ -21,7 +27,7 @@ from types import NoneType
 import numpy as np
 
 from .exceptions import DomainError
-from .switchboard import FRAME_LIMIT, ActionInterval, IntervalColumns, SwitchConfig
+from .switchboard import FRAME_LIMIT, ActionInterval, SwitchConfig
 
 # The C scanner behind JSONDecoder.raw_decode: decodes one value and returns
 # where it ended.  json.loads would also skip whitespace around it with two
@@ -29,15 +35,65 @@ from .switchboard import FRAME_LIMIT, ActionInterval, IntervalColumns, SwitchCon
 _scan_once = json.JSONDecoder().scan_once
 
 
+def _nullable(values, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """A column of ints or floats that may hold None, and its null mask; a
+    null's place holds ``fill``."""
+    if None not in values:
+        return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
+    return (np.array([fill if v is None else v for v in values], dtype=dtype),
+            np.array([v is None for v in values], dtype=bool))
+
+
+class IntervalColumns(Sequence):
+    """Read-only columns of one video's intervals; items are ActionIntervals.
+
+    ``spans`` is an (n, 2) int64 array of inclusive [start, end] frames.  A
+    classless interval has ``classless`` set and a placeholder class id of 0,
+    since a class id may be any int64; a scoreless one has ``scoreless`` set
+    and a NaN score.
+    """
+
+    __slots__ = ("spans", "class_ids", "classless", "scores", "scoreless", "truncated")
+
+    def __init__(self, spans, class_ids, classless, scores, scoreless, truncated):
+        columns = (spans, class_ids, classless, scores, scoreless, truncated)
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def from_fields(cls, start, end, class_id, score, truncated) -> IntervalColumns:
+        """Columns of checked record fields, one sequence each; None marks a
+        missing class or score."""
+        return cls(
+            np.stack([np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)], axis=1),
+            *_nullable(class_id, np.int64, 0),
+            *_nullable(score, np.float64, math.nan),
+            np.array(truncated, dtype=bool),
+        )
+
+    def select(self, rows) -> IntervalColumns:
+        """The intervals at ``rows``, a slice or an index array."""
+        return IntervalColumns(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __getitem__(self, index: int) -> ActionInterval:
+        (interval,) = self.select([index])
+        return interval
+
+    def __iter__(self):
+        # An object array's tolist gives Python ints and floats, and the Nones.
+        class_ids = np.where(self.classless, None, self.class_ids).tolist()
+        scores = np.where(self.scoreless, None, self.scores).tolist()
+        return map(ActionInterval, *self.spans.T.tolist(), class_ids, scores,
+                   self.truncated.tolist())
+
+
 def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
-    return {
-        "video_id": video_id,
-        "start": inst.start_frame,
-        "end": inst.end_frame,
-        "class_id": inst.class_id,
-        "score": inst.score,
-        "truncated": inst.truncated,
-    }
+    return {"video_id": video_id, "start": inst.start_frame, "end": inst.end_frame,
+            "class_id": inst.class_id, "score": inst.score, "truncated": inst.truncated}
 
 
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
@@ -281,3 +337,36 @@ def _check_state_fields(path, video_id, num_switches, labels) -> SwitchConfig:
     if labels and (min(labels) < 0 or max(labels) >= config.num_states):
         raise DomainError(f"{path}: label out of range for config")
     return config
+
+
+BINARY_VERSION = 1
+
+
+def write_binary(path, magic: bytes, header: str, fields, blocks, dtype) -> None:
+    """``magic``, the u32 version, ``fields`` packed by the struct format
+    ``header``, then ``blocks`` as ``dtype``, each written before the next is
+    asked for; all little-endian.  The header is packed before the file is
+    opened, so fields it cannot hold leave no file."""
+    head = magic + struct.pack("<I" + header, BINARY_VERSION, *fields)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for block in blocks:
+            fh.write(memoryview(np.ascontiguousarray(block, dtype=dtype)).cast("B"))
+
+
+def read_binary(path, magic: bytes, kind: str, header: str, count, dtype) -> tuple:
+    """(header fields, body as float64) of a write_binary file whose body is
+    ``count(*fields)`` values; else a DomainError that calls it a ``kind`` file."""
+    data = Path(path).read_bytes()
+    start = len(magic) + struct.calcsize("<I" + header)
+    if len(data) < start or data[: len(magic)] != magic:
+        raise DomainError(f"{path}: not a {kind} file")
+    version, *fields = struct.unpack_from("<I" + header, data, len(magic))
+    if version != BINARY_VERSION:
+        raise DomainError(f"{path}: unsupported {kind} version {version}")
+    n = count(*fields)
+    missing = n * np.dtype(dtype).itemsize - (len(data) - start)
+    if missing:
+        problem = "truncated" if missing > 0 else "trailing bytes in"
+        raise DomainError(f"{path}: {problem} {kind} file")
+    return fields, np.frombuffer(data, dtype=dtype, count=n, offset=start).astype(np.float64)

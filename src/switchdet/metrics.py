@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import DomainError
-from .formats import interval_columns
-from .switchboard import FRAME_LIMIT, ActionInterval, IntervalColumns
+from .formats import IntervalColumns, interval_columns
+from .switchboard import FRAME_LIMIT, ActionInterval
 
 _NO_SPANS = np.empty((0, 2), dtype=np.int64)
 
@@ -342,6 +342,13 @@ def _ap_per_class(preds, gts, candidates, floors):
     return per_class, means, float(np.mean(list(means.values())))
 
 
+def _refuse_repeats(name: str, floors) -> None:
+    """Floors given more than once are a DomainError: a report has one key each."""
+    repeated = sorted(v for v, n in Counter(floors).items() if n > 1)
+    if repeated:
+        raise DomainError(f"{name} must differ, got {repeated} more than once")
+
+
 @dataclass
 class APReport:
     per_class_ap: dict[float, dict[int | None, float]]  # threshold -> class -> AP
@@ -374,10 +381,11 @@ def interval_map(
     classless intervals is rejected.  Only classes with at least one
     ground-truth instance enter the mean.
     """
-    if not thresholds:
+    if len(thresholds) == 0:
         raise DomainError("no IoU thresholds given")
     if not all(0.0 < thr <= 1.0 for thr in thresholds):
         raise DomainError(f"IoU thresholds must be in (0, 1], got {list(thresholds)}")
+    _refuse_repeats("IoU thresholds", thresholds)
     return APReport(*_ap_per_class(preds, gts, _iou_candidates, thresholds))
 
 
@@ -406,14 +414,12 @@ def point_map(
     rule: classwise mean when every interval has a class_id, one pooled AP
     when either side has none, and a side that mixes the two is rejected.
     """
-    if not offsets or not all(0 < o < math.inf for o in offsets):
+    if len(offsets) == 0 or not all(0 < o < math.inf for o in offsets):
         raise DomainError(f"offsets must be positive and finite, got {list(offsets)}")
     fractional = [o for o in offsets if o != int(o)]
     if fractional:
         raise DomainError(f"offsets must be whole frame counts, got {fractional}")
-    repeated = sorted(o for o, n in Counter(map(int, offsets)).items() if n > 1)
-    if repeated:
-        raise DomainError(f"offsets must differ, got {repeated} more than once")
+    _refuse_repeats("offsets", map(int, offsets))
     # A start within `offset` frames is a gain of at least -offset.
     _, means, mean = _ap_per_class(preds, gts, _start_candidates, [-o for o in offsets])
     return PointAPReport({int(-floor): m for floor, m in means.items()}, mean)

@@ -11,19 +11,18 @@ recurrences over the same frames with one batched product per step.
 from __future__ import annotations
 
 import math
-import struct
 import threading
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .exceptions import DomainError
+from .formats import read_binary, write_binary
 
 CHECKPOINT_MAGIC = b"ASWP"
-CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = "III"  # D, H, S; the body is ScorerParams.flat as f64
 
 # Field order also fixes the checkpoint layout.
 _PARAM_FIELDS = ("w_z", "u_z", "b_z", "w_h", "u_h", "b_h", "w_o", "b_o")
@@ -441,28 +440,11 @@ def save_checkpoint(path, params: ScorerParams) -> None:
     """Binary checkpoint: magic, version, dims, then ``params.flat`` as f64 LE."""
     if params.flat.ndim != 1:
         raise DomainError(f"a checkpoint holds one model, got a stack of {len(params.flat)}")
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIII",
-        CHECKPOINT_VERSION,
-        params.feature_dim,
-        params.hidden_dim,
-        params.num_states,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(params.flat.astype("<f8").tobytes())
+    write_binary(path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
+                 (params.feature_dim, params.hidden_dim, params.num_states), [params.flat], "<f8")
 
 
 def load_checkpoint(path) -> ScorerParams:
-    data = Path(path).read_bytes()
-    if len(data) < 20 or data[:4] != CHECKPOINT_MAGIC:
-        raise DomainError(f"{path}: not a scorer checkpoint")
-    version, d, h, s = struct.unpack("<IIII", data[4:20])
-    if version != CHECKPOINT_VERSION:
-        raise DomainError(f"{path}: unsupported checkpoint version {version}")
-    n = _param_count(d, h, s)
-    if len(data) != 20 + 8 * n:
-        problem = "truncated" if len(data) < 20 + 8 * n else "trailing bytes in"
-        raise DomainError(f"{path}: {problem} checkpoint")
-    flat = np.frombuffer(data, dtype="<f8", count=n, offset=20).astype(np.float64)
+    (d, h, s), flat = read_binary(path, CHECKPOINT_MAGIC, "checkpoint", _CHECKPOINT_HEADER,
+                                  _param_count, "<f8")
     return ScorerParams(flat, d, h, s)

@@ -9,9 +9,7 @@ into intervals online with one frame of latency on the closing edge.
 
 from __future__ import annotations
 
-import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +23,28 @@ POLICY_DROP_NEWEST = "drop-newest"
 POLICY_STRICT = "strict"
 
 
+def _integer(value, problem: str, bools: bool = False) -> int:
+    """``value`` as an int, if it is an integer, Python's or numpy's; else a
+    DomainError of ``problem.format(value)``.  A float is refused, and so is
+    a bool, Python's or numpy's, unless ``bools``."""
+    if isinstance(value, (bool, np.bool_)):
+        if bools:
+            return int(value)
+    else:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(problem.format(value))
+
+
+def integer_field(owner, name: str):
+    """Field ``name`` of ``owner``, if it is an integer under _integer's rule."""
+    value = getattr(owner, name)
+    _integer(value, name + " must be an integer, got {!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SwitchConfig:
     """Number of switches; the state space is all 2^k activation bitmasks."""
@@ -32,7 +52,7 @@ class SwitchConfig:
     num_switches: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.num_switches <= MAX_SWITCHES):
+        if not (1 <= integer_field(self, "num_switches") <= MAX_SWITCHES):
             raise DomainError(
                 f"num_switches must be in [1, {MAX_SWITCHES}], got {self.num_switches}"
             )
@@ -76,67 +96,6 @@ class ActionInterval:
 # Frame indices of columnar intervals stay below this bound, so a span's
 # length and the sum of two lengths fit int64.
 FRAME_LIMIT = 2**62
-
-
-def _nullable(values, dtype, fill) -> tuple[np.ndarray, np.ndarray]:
-    """A column of ints or floats that may hold None, and its null mask; a
-    null's place holds ``fill``."""
-    if None not in values:
-        return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
-    return (np.array([fill if v is None else v for v in values], dtype=dtype),
-            np.array([v is None for v in values], dtype=bool))
-
-
-class IntervalColumns(Sequence):
-    """Read-only columns of one video's intervals; items are ActionIntervals.
-
-    ``spans`` is an (n, 2) int64 array of inclusive [start, end] frames.  A
-    classless interval has ``classless`` set and a placeholder class id of 0,
-    since a class id may be any int64; a scoreless one has ``scoreless`` set
-    and a NaN score.
-    """
-
-    __slots__ = ("spans", "class_ids", "classless", "scores", "scoreless", "truncated")
-
-    def __init__(self, spans, class_ids, classless, scores, scoreless, truncated):
-        columns = (spans, class_ids, classless, scores, scoreless, truncated)
-        for name, column in zip(self.__slots__, columns):
-            column.flags.writeable = False
-            setattr(self, name, column)
-
-    @classmethod
-    def from_fields(cls, start, end, class_id, score, truncated) -> IntervalColumns:
-        """Columns of checked record fields, one sequence each; None marks a
-        missing class or score."""
-        return cls(
-            np.stack([np.array(start, dtype=np.int64), np.array(end, dtype=np.int64)], axis=1),
-            *_nullable(class_id, np.int64, 0),
-            *_nullable(score, np.float64, math.nan),
-            np.array(truncated, dtype=bool),
-        )
-
-    def select(self, rows) -> IntervalColumns:
-        """The intervals at ``rows``, a slice or an index array."""
-        return IntervalColumns(*(getattr(self, name)[rows] for name in self.__slots__))
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def __getitem__(self, index: int) -> ActionInterval:
-        (interval,) = self.select([index])
-        return interval
-
-    def __iter__(self):
-        class_ids = [
-            None if classless else c
-            for c, classless in zip(self.class_ids.tolist(), self.classless.tolist())
-        ]
-        scores = [
-            None if scoreless else s
-            for s, scoreless in zip(self.scores.tolist(), self.scoreless.tolist())
-        ]
-        return map(ActionInterval, self.spans[:, 0].tolist(), self.spans[:, 1].tolist(),
-                   class_ids, scores, self.truncated.tolist())
 
 
 @dataclass
@@ -241,20 +200,6 @@ def decode_sequence(states, config: SwitchConfig) -> list[ActionInterval]:
     return out
 
 
-def _integer(value, name: str, bools: bool) -> int:
-    """``value`` as an int, if it is an integer; a float is refused, and so
-    is a bool, Python's or numpy's, unless ``bools``."""
-    if isinstance(value, (bool, np.bool_)):
-        if bools:
-            return int(value)
-    else:
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} {value!r} is not an integer")
-
-
 class StreamDecoder:
     """Online per-frame decoder for a single stream.
 
@@ -281,13 +226,13 @@ class StreamDecoder:
         if self._finalized:
             raise ProtocolError("step() after finalize()")
         if type(frame) is not int:
-            frame = _integer(frame, "frame", bools=False)
+            frame = _integer(frame, "frame {!r} is not an integer")
         if frame != self._next_frame:
             raise ProtocolError(
                 f"expected frame {self._next_frame}, got {frame}"
             )
         if type(state) is not int:
-            state = _integer(state, "state", bools=True)
+            state = _integer(state, "state {!r} is not an integer", bools=True)
         if not (0 <= state < self.config.num_states):
             raise DomainError(
                 f"state {state} out of range for {self.config.num_switches} switches"

@@ -10,18 +10,17 @@ arrival_rate (overlap density) and noise_sigma.
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DomainError
-from .switchboard import ActionInterval
+from .formats import read_binary, write_binary
+from .switchboard import ActionInterval, integer_field
 
 FEATURE_MAGIC = b"ASWF"
-FEATURE_VERSION = 1
+_FEATURE_HEADER = "QI"  # T frames, D columns; the body is T x D f32 values
 
 
 @dataclass(frozen=True)
@@ -44,18 +43,17 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name, low in (("length", 1), ("max_concurrent", 1), ("num_classes", 1),
                           ("feature_dim", 1), ("seed", 0)):
-            if getattr(self, name) < low:
+            if integer_field(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.signature_seed is not None and self.signature_seed < 0:
+        if self.signature_seed is not None and integer_field(self, "signature_seed") < 0:
             raise DomainError(f"signature_seed must be >= 0, got {self.signature_seed}")
         for name in ("arrival_rate", "noise_sigma"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise DomainError(f"{name} must be finite and >= 0, got {value}")
-        if not (1 <= self.duration_min <= self.duration_max):
-            raise DomainError(
-                f"bad duration range [{self.duration_min}, {self.duration_max}]"
-            )
+        durations = integer_field(self, "duration_min"), integer_field(self, "duration_max")
+        if not 1 <= durations[0] <= durations[1]:
+            raise DomainError(f"bad duration range [{durations[0]}, {durations[1]}]")
 
 
 # Features are made, and written, in blocks of whole rows of about this many
@@ -134,12 +132,7 @@ def generate_stream(
     """Sample one stream: (T x D features, class-labeled instances).
     Deterministic per seed."""
     instances, blocks = _synthesize(config)
-    features = np.empty((config.length, config.feature_dim))
-    lo = 0
-    for block in blocks:
-        features[lo : lo + len(block)] = block
-        lo += len(block)
-    return features, instances
+    return np.concatenate(list(blocks)), instances
 
 
 def write_stream(config: SynthConfig, path) -> list[ActionInterval]:
@@ -147,7 +140,8 @@ def write_stream(config: SynthConfig, path) -> list[ActionInterval]:
     they are made, and return its instances; the file equals
     ``write_features(path, generate_stream(config)[0])`` byte for byte."""
     instances, blocks = _synthesize(config)
-    _write_blocks(path, (config.length, config.feature_dim), blocks)
+    write_binary(path, FEATURE_MAGIC, _FEATURE_HEADER, (config.length, config.feature_dim),
+                 blocks, "<f4")
     return instances
 
 
@@ -160,33 +154,15 @@ def write_features(path, features) -> None:
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise DomainError(f"features must be 2-d with >= 1 column, got shape {arr.shape}")
     rows = max(1, BLOCK_VALUES // arr.shape[1])
-    _write_blocks(path, arr.shape, (arr[lo : lo + rows] for lo in range(0, len(arr), rows)))
-
-
-def _write_blocks(path, shape: tuple[int, int], blocks) -> None:
-    """A feature file of ``shape`` whose rows come in ``blocks``; each block is
-    converted to f32 and written before the next is asked for."""
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQI", FEATURE_VERSION, *shape))
-        for block in blocks:
-            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f4")).cast("B"))
+    write_binary(path, FEATURE_MAGIC, _FEATURE_HEADER, arr.shape,
+                 (arr[lo : lo + rows] for lo in range(0, len(arr), rows)), "<f4")
 
 
 def read_features(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 20 or data[:4] != FEATURE_MAGIC:
-        raise DomainError(f"{path}: not a feature file")
-    version, t, d = struct.unpack("<IQI", data[4:20])
-    if version != FEATURE_VERSION:
-        raise DomainError(f"{path}: unsupported feature version {version}")
+    (t, d), features = read_binary(path, FEATURE_MAGIC, "feature", _FEATURE_HEADER,
+                                   lambda t, d: t * d, "<f4")
     if d == 0:
         raise DomainError(f"{path}: feature file with 0 columns")
-    body = data[20:]
-    if len(body) != 4 * t * d:
-        problem = "truncated" if len(body) < 4 * t * d else "trailing bytes in"
-        raise DomainError(f"{path}: {problem} feature file")
-    features = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, d)
     if not np.all(np.isfinite(features)):
         raise DomainError(f"{path}: non-finite feature values")
-    return features
+    return features.reshape(t, d)

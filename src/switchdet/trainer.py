@@ -24,6 +24,7 @@ from .switchboard import (
     SwitchConfig,
     decode_sequence,
     encode_instances,
+    integer_field,
 )
 
 log = logging.getLogger("switchdet")
@@ -56,7 +57,7 @@ class TrainConfig:
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
         for name, low in (("epochs", 1), ("bptt_len", 2), ("seed", 0), ("hidden_dim", 1)):
-            if getattr(self, name) < low:
+            if integer_field(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
         SwitchConfig(self.num_switches)
 

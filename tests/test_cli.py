@@ -911,6 +911,15 @@ def test_eval_odas_rejects_offsets_that_round_to_one_frame_count(one_scored, tmp
     assert not out.exists() and not (tmp_path / "odas.json.manifest.json").exists()
 
 
+def test_eval_map_rejects_repeated_tious(one_scored, tmp_path, capsys):
+    preds, gts = one_scored
+    out = tmp_path / "map.json"
+    assert run("eval-map", "--preds", preds, "--gts", gts,
+               "--tious", "0.5,0.5,0.9", "--out", out) == 2
+    assert "got [0.5] more than once" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "map.json.manifest.json").exists()
+
+
 def test_eval_map_pools_classless_ground_truth(tmp_path):
     gts, preds = tmp_path / "gt.jsonl", tmp_path / "p.jsonl"
     write_instances(gts, {"v": [ActionInterval(10, 40), ActionInterval(50, 60)]})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from switchdet.formats import (
     write_instances,
     write_state_sequence,
 )
+from switchdet.scorer import init_params, load_checkpoint, save_checkpoint
 from switchdet.switchboard import FRAME_LIMIT, ActionInterval, SwitchConfig
+from switchdet.synthgen import read_features, write_features
 
 
 def test_instances_round_trip(tmp_path):
@@ -564,3 +567,31 @@ def test_reader_reads_back_whatever_the_writer_accepts(tmp_path_factory, videos)
                 for a in sorted(insts, key=lambda a: a.span)]
             for v, insts in videos.items() if insts}
     assert {v: [_fields(a) for a in cols] for v, cols in back.items()} == want
+
+
+# Each binary format by its name in errors: a writer of a valid file, the
+# reader, and the size of one body value.
+BINARY_FORMATS = {
+    "feature": (lambda path: write_features(path, np.ones((3, 2))), read_features, 4),
+    "checkpoint": (lambda path: save_checkpoint(path, init_params(5, 4, 8, seed=9)),
+                   load_checkpoint, 8),
+}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda raw, size: b"ASWX" + raw[4:], "not a {kind} file"),
+    (lambda raw, size: raw[:19], "not a {kind} file"),
+    (lambda raw, size: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+     "unsupported {kind} version 2"),
+    (lambda raw, size: raw[:-size], "truncated {kind} file"),
+    (lambda raw, size: raw + bytes(size), "trailing bytes in {kind} file"),
+], ids=["magic", "short-header", "version", "short-body", "long-body"])
+@pytest.mark.parametrize("kind", BINARY_FORMATS)
+def test_binary_container_refuses_bad_files(tmp_path, kind, edit, problem):
+    write, read, size = BINARY_FORMATS[kind]
+    path = tmp_path / "file.bin"
+    write(path)
+    path.write_bytes(edit(path.read_bytes(), size))
+    message = f"{path}: {problem.format(kind=kind)}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        read(path)

@@ -72,6 +72,31 @@ def test_check_sees_einsum():
     assert einsum_uses(source) == [2, 3, 4]
 
 
+def struct_imports(source: str) -> list[int]:
+    """Lines that import the ``struct`` module or a name from it."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "struct")
+    })
+
+
+# Binary framing (magic, version, header fields, body length) is written and
+# checked in formats alone: the other modules call write_binary and read_binary.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "formats"],
+                         ids=lambda p: p.name)
+def test_only_formats_packs_binary_headers(path):
+    assert struct_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_struct_imports():
+    source = (
+        "import os, struct as s\nfrom struct import pack\nfrom .formats import struct\n"
+        "import structlog\ndef f():\n    import struct\n"
+    )
+    assert struct_imports(source) == [1, 2, 6]
+
+
 def loaded_names(tree: ast.AST) -> set[str]:
     """Every name and attribute that the tree loads."""
     loaded = set()

@@ -748,6 +748,27 @@ class TestIntervalMapThresholds:
         preds = {"v": [iv(0, 9, class_id=0, score=0.9)]}
         assert interval_map(preds, gts, [1.0]).average_map == 1.0
 
+    def test_repeated_thresholds_rejected(self):
+        # The report has one key per threshold: a repeat would be averaged once.
+        gts = {"v": [iv(0, 9, class_id=0)]}
+        preds = {"v": [iv(0, 9, class_id=0, score=0.9)]}
+        with pytest.raises(DomainError, match=r"IoU thresholds must differ, got \[0\.5\] more"):
+            interval_map(preds, gts, [0.5, 0.5, 0.9])
+
+
+def test_ranked_metrics_take_numpy_floors():
+    gts = {"v": [iv(0, 9, class_id=0), iv(20, 29, class_id=0)]}
+    preds = {"v": [iv(1, 9, class_id=0, score=0.9), iv(24, 29, class_id=0, score=0.8)]}
+    assert (interval_map(preds, gts, np.array([0.5, 0.7]))
+            == interval_map(preds, gts, [0.5, 0.7]))
+    assert point_map(preds, gts, np.array([1, 3])) == point_map(preds, gts, [1, 3])
+    with pytest.raises(DomainError, match="no IoU thresholds"):
+        interval_map(preds, gts, np.array([]))
+    with pytest.raises(DomainError, match=r"IoU thresholds must differ"):
+        interval_map(preds, gts, np.array([0.5, 0.5]))
+    with pytest.raises(DomainError, match=r"offsets must differ"):
+        point_map(preds, gts, np.array([2, 2]))
+
 
 # The dense matcher that the sorted-sweep candidate search replaced, kept as
 # a reference: every (prediction, ground truth) gain of a video in one

@@ -492,7 +492,7 @@ class TestCheckpoint:
         path = tmp_path / "model.aswp"
         save_checkpoint(path, p)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="truncated checkpoint file"):
             load_checkpoint(path)
 
     def test_body_is_flat(self, tmp_path):

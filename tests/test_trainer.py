@@ -37,6 +37,31 @@ def constant_state_video(length=256, feature_dim=4):
     return features, instances
 
 
+# Every integer field of the three configs, and the fields it is built with.
+INTEGER_FIELDS = [(SwitchConfig, {"num_switches": 2}, "num_switches")] + [
+    (SynthConfig, {"length": 100}, name)
+    for name in ("length", "duration_min", "duration_max", "max_concurrent",
+                 "num_classes", "feature_dim", "seed", "signature_seed")
+] + [
+    (TrainConfig, {}, name)
+    for name in ("epochs", "bptt_len", "seed", "num_switches", "hidden_dim")
+]
+
+
+@pytest.mark.parametrize("config, base, name", INTEGER_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in INTEGER_FIELDS])
+def test_integer_config_fields_refuse_bools_and_non_integers(config, base, name):
+    for bad in (True, np.True_, 2.5, 2.0, "2", None):
+        if bad is None and name == "signature_seed":
+            continue
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {bad!r}"):
+            config(**base | {name: bad})
+    # A numpy integer passes, as the default (or 7 for None) it replaces.
+    good = getattr(config(**base), name)
+    good = np.int64(7 if good is None else good)
+    assert getattr(config(**base | {name: good}), name) is good
+
+
 class TestAdam:
     def test_single_step_matches_reference_formulas(self):
         params = init_params(2, 2, 2, seed=0)

@@ -21,6 +21,7 @@ import operator
 import struct
 from collections.abc import Sequence
 from itertools import compress, count, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
 
@@ -96,21 +97,43 @@ def instance_to_record(video_id: str, inst: ActionInterval) -> dict:
             "class_id": inst.class_id, "score": inst.score, "truncated": inst.truncated}
 
 
+# One instance line, in instance_to_record's key order and with json.dumps'
+# separators: the video id as encode_basestring_ascii writes it, the other
+# fields as _json_texts does.
+_LINE = ('{"video_id": %s, "start": %s, "end": %s, "class_id": %s, "score": %s, '
+         '"truncated": %s}\n')
+# The repr of each JSON constant, and how JSON writes it.
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false"}
+_SPAN = operator.attrgetter("start_frame", "end_frame")
+
+
+def _json_texts(values):
+    """How json.dumps writes each of ``values``: None, a bool, an int or a
+    finite float, each of its exact type."""
+    texts = list(map(repr, values))
+    return map(_JSON_WORDS.get, texts, texts)
+
+
 def write_instances(path, videos: dict[str, list[ActionInterval]]) -> None:
     """Write per-video instance lists as JSON Lines, sorted for reproducibility.
 
     A record that read_instances would reject (_RULES: a bool, float or
     numpy frame, a bool class id, a string score, a NaN score, ...) is a
-    DomainError raised before the file is opened.
+    DomainError raised before the file is opened.  Lines are formatted from
+    the checked columns: the rules let through only values of exact JSON
+    types, so each line is ``json.dumps(record) + "\\n"`` byte for byte.
     """
     # Only string ids sort together.  The records of any other id break the
     # first rule, so they go first, and the first of them is the one reported.
     ids = [v for v in videos if type(v) is not str] + sorted(
         v for v in videos if type(v) is str)
     records = [instance_to_record(video_id, inst) for video_id in ids
-               for inst in sorted(videos[video_id], key=lambda a: a.span)]
-    _check_records(records, lambda row: path)
-    lines = [json.dumps(rec) + "\n" for rec in records]
+               for inst in sorted(videos[video_id], key=_SPAN)]
+    video_ids, columns = _check_records(records, lambda row: path)
+    quoted = {v: encode_basestring_ascii(v) for v in dict.fromkeys(video_ids)}
+    fields = [_json_texts(columns[name])
+              for name in ("start", "end", "class_id", "score", "truncated")]
+    lines = list(map(_LINE.__mod__, zip(map(quoted.__getitem__, video_ids), *fields)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

@@ -379,8 +379,11 @@ def interval_map(
     Classwise when every interval has a class_id, else one pooled
     class-agnostic AP under class ``None``; a side that mixes classed and
     classless intervals is rejected.  Only classes with at least one
-    ground-truth instance enter the mean.
+    ground-truth instance enter the mean.  An array of thresholds is taken
+    as its list of Python floats, which key the report.
     """
+    if isinstance(thresholds, np.ndarray):
+        thresholds = thresholds.tolist()
     if len(thresholds) == 0:
         raise DomainError("no IoU thresholds given")
     if not all(0.0 < thr <= 1.0 for thr in thresholds):

@@ -210,6 +210,7 @@ class StreamDecoder:
 
     def __init__(self, config: SwitchConfig):
         self.config = config
+        self._num_states = config.num_states
         self._prev = 0
         self._open: list[int | None] = [None] * config.num_switches
         self._next_frame = 0
@@ -233,7 +234,7 @@ class StreamDecoder:
             )
         if type(state) is not int:
             state = _integer(state, "state {!r} is not an integer", bools=True)
-        if not (0 <= state < self.config.num_states):
+        if not (0 <= state < self._num_states):
             raise DomainError(
                 f"state {state} out of range for {self.config.num_switches} switches"
             )
@@ -267,7 +268,13 @@ class StreamDecoder:
 
 
 def decode_streaming(states, config: SwitchConfig) -> list[ActionInterval]:
-    """Run a full sequence through StreamDecoder; equals decode_sequence."""
+    """Run a full sequence through StreamDecoder; equals decode_sequence.
+
+    A 1-d integer array is stepped as Python ints, each of which step takes
+    without a conversion; any other input is stepped element by element.
+    """
+    if isinstance(states, np.ndarray) and states.ndim == 1 and states.dtype.kind in "iu":
+        states = states.tolist()
     dec = StreamDecoder(config)
     out: list[ActionInterval] = []
     for frame, state in enumerate(states):

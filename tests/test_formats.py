@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchdet.exceptions import DomainError
@@ -567,6 +567,26 @@ def test_reader_reads_back_whatever_the_writer_accepts(tmp_path_factory, videos)
                 for a in sorted(insts, key=lambda a: a.span)]
             for v, insts in videos.items() if insts}
     assert {v: [_fields(a) for a in cols] for v, cols in back.items()} == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(videos=st.dictionaries(st.text(), st.lists(writable_intervals, max_size=6), max_size=3))
+@example(videos={'q"\\\x00\x1f\x7f\u00e9\u2028\U0001f600': [
+    ActionInterval(0, 1, class_id=2**63 - 1, score=-0.0, truncated=True),
+    ActionInterval(0, 0, class_id=-(2**63), score=5e-324),
+    ActionInterval(2, 2, score=1e16),
+]})
+def test_writer_lines_equal_json_dumps(tmp_path_factory, videos):
+    # json.dumps of each record, in sorted order, is the independent reference.
+    path = tmp_path_factory.mktemp("written") / "inst.jsonl"
+    try:
+        write_instances(path, videos)
+    except DomainError:
+        assert not path.exists()
+        return
+    want = "".join(json.dumps(instance_to_record(v, a)) + "\n" for v in sorted(videos)
+                   for a in sorted(videos[v], key=lambda a: a.span))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 # Each binary format by its name in errors: a writer of a valid file, the

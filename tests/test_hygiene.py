@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import switchdet
-from switchdet.formats import read_instances
+from switchdet.formats import read_instances, write_instances
+from switchdet.switchboard import SwitchConfig, decode_streaming, encode_instances
 
 MODULES = sorted(Path(switchdet.__file__).parent.glob("*.py"))
 
@@ -296,8 +297,8 @@ def cost_per_record(tmp_path, cost) -> float:
     return (costs[2] - costs[1]) / (sizes[1] - sizes[0])
 
 
-def profiled_calls(path) -> int:
-    """Python and C function calls that read_instances(path) makes."""
+def calls_during(function, *args) -> int:
+    """Python and C function calls that function(*args) makes."""
     calls = 0
 
     def count(frame, event, arg):
@@ -306,10 +307,15 @@ def profiled_calls(path) -> int:
 
     sys.setprofile(count)
     try:
-        read_instances(path)
+        function(*args)
     finally:
         sys.setprofile(None)
     return calls
+
+
+def profiled_calls(path) -> int:
+    """Python and C function calls that read_instances(path) makes."""
+    return calls_during(read_instances, path)
 
 
 def traced_peak(read):
@@ -348,6 +354,41 @@ def test_reader_calls_per_record(tmp_path):
 def test_reader_memory_per_record(tmp_path):
     floor = cost_per_record(tmp_path, traced_peak(decoded_records))
     assert cost_per_record(tmp_path, traced_peak(read_instances)) - floor <= 100
+
+
+def written_calls(path) -> int:
+    """Calls that write_instances makes to write the records of path again."""
+    videos = {v: list(columns) for v, columns in read_instances(path).items()}
+    return calls_during(write_instances, path.with_suffix(".out"), videos)
+
+
+# instance_lines' records start this many frames apart.
+FRAMES_PER_RECORD = 16
+
+
+def streamed_calls(path) -> int:
+    """Calls that decode_streaming makes over the int64 labels of path's
+    records, encoded on three switches in FRAMES_PER_RECORD frames a record."""
+    (intervals,) = read_instances(path).values()
+    config = SwitchConfig(3)
+    labels, _ = encode_instances(list(intervals), FRAMES_PER_RECORD * len(intervals) + 64,
+                                 config)
+    return calls_during(decode_streaming, labels, config)
+
+
+# The writer makes one call per record, to build it (instance_to_record); the
+# check, the sort and each line's formatting run at C level.  A json.dumps
+# per record makes about seven more.
+def test_writer_calls_per_record(tmp_path):
+    assert cost_per_record(tmp_path, written_calls) <= 3
+
+
+# Over an int64 array, each frame costs the step and the extend of its
+# closed instances (2); the intervals that close cost a few calls each.  A
+# conversion of each numpy integer in step, or a property read per frame,
+# breaks this bound.
+def test_streaming_decode_calls_per_frame(tmp_path):
+    assert cost_per_record(tmp_path, streamed_calls) / FRAMES_PER_RECORD <= 3
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

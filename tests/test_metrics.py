@@ -770,6 +770,18 @@ def test_ranked_metrics_take_numpy_floors():
         point_map(preds, gts, np.array([2, 2]))
 
 
+def test_threshold_array_keys_and_messages_hold_python_floats():
+    # As for a list: no numpy float keys the report or fills a message.
+    gts = {"v": [iv(0, 9, class_id=0)]}
+    preds = {"v": [iv(0, 9, class_id=0, score=0.5)]}
+    report = interval_map(preds, gts, np.array([0.5, 0.7]))
+    assert [type(thr) for thr in report.map_per_threshold] == [float, float]
+    assert [type(thr) for thr in report.per_class_ap] == [float, float]
+    with pytest.raises(DomainError) as info:
+        interval_map(preds, gts, np.array([0.5, 0.5]))
+    assert str(info.value) == "IoU thresholds must differ, got [0.5] more than once"
+
+
 # The dense matcher that the sorted-sweep candidate search replaced, kept as
 # a reference: every (prediction, ground truth) gain of a video in one
 # matrix, per class.

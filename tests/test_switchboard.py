@@ -284,6 +284,28 @@ class TestStreamDecoder:
         assert [(a.span, a.truncated) for a in out] == [((0, 1), False), ((3, 4), True)]
         assert {type(f) for a in out for f in a.span} == {int}
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, list], ids=["int64", "uint8", "list"])
+    def test_integer_arrays_decode_as_their_list(self, dtype):
+        labels = [0, 1, 3, 3, 2, 0, 0, 2, 3, 1]
+        states = labels if dtype is list else np.array(labels, dtype=dtype)
+        streamed = decode_streaming(states, SwitchConfig(2))
+        assert streamed == decode_sequence(labels, SwitchConfig(2))
+        assert [(a.span, a.truncated) for a in streamed] == [
+            ((1, 3), False), ((2, 4), False), ((7, 8), False), ((8, 9), True)]
+        assert {type(f) for a in streamed for f in a.span} == {int}
+
+    @pytest.mark.parametrize("states, message", [
+        (np.array([0.0, 1.0, 3.0]), "state np.float64(0.0) is not an integer"),
+        (np.array([[0, 1], [1, 0]]), "state array([0, 1]) is not an integer"),
+        (np.array([0, 5]), "state 5 out of range for 2 switches"),
+        (np.array([0, 2**64 - 1], dtype=np.uint64),
+         "state 18446744073709551615 out of range for 2 switches"),
+    ], ids=["float", "2-d", "int64-out-of-range", "uint64-out-of-range"])
+    def test_refused_arrays_keep_their_messages(self, states, message):
+        with pytest.raises(DomainError) as info:
+            decode_streaming(states, SwitchConfig(2))
+        assert str(info.value) == message
+
     @settings(max_examples=200, deadline=None)
     @given(
         num_switches=st.integers(1, 4),
